@@ -23,14 +23,26 @@
 //! skeletons, distinct vectors (e.g. `(b,c)` and `(c,b)` on the symmetric
 //! edge `a—a`) denote the same pattern. Because the over-generalization
 //! test always probes *all* positions, no follow-up pass is needed.
+//!
+//! ### Emission order
+//!
+//! Which path first reaches a pattern — and so which automorphic vector
+//! it arrives as — depends on which paths are frequent, i.e. on θ. The
+//! output must not: a run at θ filtered to θ′ ≥ θ has to list exactly
+//! what a fresh run at θ′ lists, in the same order (the serve cache
+//! relies on it). So a class's patterns are buffered, each as its
+//! automorphism-canonical vector, and emitted in ascending order of that
+//! vector once the class is done. Every engine enumerates through
+//! [`enumerate_class_scratch`], so this is the one place the order is
+//! decided.
 
-// tsg-lint: allow(index) — pos walks v, whose entries the traversal itself pushed below the entry count
+// tsg-lint: allow(index) — pos walks v, whose entries the traversal itself pushed below the entry count; output rows index the class buffer this file fills
 
 use crate::config::Enhancements;
 use crate::oi::{LocalId, OccurrenceIndex};
 use tsg_bitset::BitSet;
 use tsg_graph::{LabeledGraph, NodeLabel};
-use tsg_iso::{automorphisms, canonical_under_automorphisms};
+use tsg_iso::{automorphisms, canonical_under_automorphisms, canonical_under_automorphisms_into};
 use tsg_taxonomy::Taxonomy;
 use std::collections::HashSet;
 
@@ -49,25 +61,33 @@ pub struct EnumerationStats {
     pub overgeneralized: usize,
 }
 
-/// One emitted pattern: the specialized label vector, its support count,
-/// and the graphs it occurs in.
+/// One emitted pattern: the specialized label vector and its support
+/// count.
 pub struct EmittedPattern<'a> {
-    /// Labels per skeleton vertex.
+    /// Labels per skeleton vertex: the automorphism-canonical vector of
+    /// the pattern.
     pub labels: &'a [NodeLabel],
     /// Distinct-graph support count.
     pub support: usize,
 }
 
 /// Reusable per-worker enumeration scratch: the visited set, the graph-id
-/// scratch bitset, the label buffer, and pools of dense working sets and
-/// work vectors. One `EnumScratch` serves any number of classes in
-/// sequence; after a few classes of warm-up, enumeration allocates only
-/// for visited-set keys (which must be owned by the set).
+/// scratch bitset, the label buffer, the class's pending output, and
+/// pools of dense working sets and work vectors. One `EnumScratch` serves
+/// any number of classes in sequence; after a few classes of warm-up,
+/// enumeration allocates only for visited-set keys (which must be owned
+/// by the set).
 #[derive(Debug, Default)]
 pub struct EnumScratch {
     visited: HashSet<Vec<NodeLabel>>,
     scratch: BitSet,
     label_buf: Vec<NodeLabel>,
+    /// The class's patterns so far, canonical vectors back to back.
+    out_labels: Vec<NodeLabel>,
+    /// Support of each buffered pattern, in buffer order.
+    out_supports: Vec<usize>,
+    /// Emission order: buffer indices sorted by canonical vector.
+    out_order: Vec<usize>,
     /// Retired dense working sets, re-targeted via [`BitSet::reset`].
     dense_pool: Vec<BitSet>,
     /// Retired per-vector descent lists.
@@ -85,10 +105,12 @@ impl EnumScratch {
         self.visited.clear();
         self.scratch.reset(db_len);
         self.label_buf.clear();
+        self.out_labels.clear();
+        self.out_supports.clear();
     }
 }
 
-struct Ctx<'a, F: FnMut(EmittedPattern<'_>)> {
+struct Ctx<'a> {
     oi: &'a OccurrenceIndex,
     min_support: usize,
     cfg: &'a Enhancements,
@@ -96,11 +118,10 @@ struct Ctx<'a, F: FnMut(EmittedPattern<'_>)> {
     autos: Vec<Vec<usize>>,
     keep_overgeneralized: bool,
     s: &'a mut EnumScratch,
-    emit: F,
     stats: EnumerationStats,
 }
 
-impl<F: FnMut(EmittedPattern<'_>)> Ctx<'_, F> {
+impl Ctx<'_> {
     /// The taxonomy-label vector behind the local-id vector `v`, written
     /// into the reusable buffer.
     fn fill_labels(&mut self, v: &[LocalId]) {
@@ -170,7 +191,7 @@ pub fn enumerate_class_scratch<F: FnMut(EmittedPattern<'_>)>(
     cfg: &Enhancements,
     keep_overgeneralized: bool,
     scratch: &mut EnumScratch,
-    emit: F,
+    mut emit: F,
 ) -> EnumerationStats {
     scratch.begin_class(db_len);
     let mut ctx = Ctx {
@@ -181,7 +202,6 @@ pub fn enumerate_class_scratch<F: FnMut(EmittedPattern<'_>)>(
         autos: automorphisms(skeleton),
         keep_overgeneralized,
         s: scratch,
-        emit,
         stats: EnumerationStats::default(),
     };
     // The start vector is each entry's root: the most-general label, or a
@@ -193,11 +213,27 @@ pub fn enumerate_class_scratch<F: FnMut(EmittedPattern<'_>)>(
     let key = canonical_under_automorphisms(&ctx.s.label_buf, &ctx.autos);
     ctx.s.visited.insert(key);
     recurse(&mut ctx, &mut v, &ocs, sup);
-    ctx.stats
+    let stats = ctx.stats;
+    // Emit in canonical-vector order (module docs, "Emission order").
+    let n = oi.entries.len();
+    let s = scratch;
+    s.out_order.clear();
+    s.out_order.extend(0..s.out_supports.len());
+    let labels = &s.out_labels;
+    let row = |i: usize| &labels[i * n..(i + 1) * n];
+    // Canonical vectors are unique per class: no ties to keep stable.
+    s.out_order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    for &i in &s.out_order {
+        emit(EmittedPattern {
+            labels: row(i),
+            support: s.out_supports[i],
+        });
+    }
+    stats
 }
 
-fn recurse<F: FnMut(EmittedPattern<'_>)>(
-    ctx: &mut Ctx<'_, F>,
+fn recurse(
+    ctx: &mut Ctx<'_>,
     v: &mut Vec<LocalId>,
     ocs: &BitSet,
     sup: usize,
@@ -245,12 +281,12 @@ fn recurse<F: FnMut(EmittedPattern<'_>)>(
             && !has_artificial(ctx.taxonomy, &ctx.s.label_buf)
         {
             ctx.stats.emitted += 1;
-            let labels = std::mem::take(&mut ctx.s.label_buf);
-            (ctx.emit)(EmittedPattern {
-                labels: &labels,
-                support: sup,
-            });
-            ctx.s.label_buf = labels;
+            canonical_under_automorphisms_into(
+                &ctx.s.label_buf,
+                &ctx.autos,
+                &mut ctx.s.out_labels,
+            );
+            ctx.s.out_supports.push(sup);
         }
         if overgeneralized {
             ctx.stats.overgeneralized += 1;
@@ -279,8 +315,8 @@ fn recurse<F: FnMut(EmittedPattern<'_>)>(
 /// Baseline-mode wasted work: computes an intersection count for every
 /// strict descendant of `below` present in the entry (BFS over the entry's
 /// DAG, each label probed once).
-fn probe_descendants<F: FnMut(EmittedPattern<'_>)>(
-    ctx: &mut Ctx<'_, F>,
+fn probe_descendants(
+    ctx: &mut Ctx<'_>,
     entry: &crate::oi::OiEntry,
     below: LocalId,
     ocs: &BitSet,

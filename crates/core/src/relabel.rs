@@ -49,27 +49,37 @@ pub fn relabel(db: &GraphDatabase, taxonomy: &Taxonomy) -> Result<Relabeled, Tax
     }
     let taxonomy = taxonomy.unify_most_general();
     let mut dmg = db.clone();
-    let mut originals = Vec::with_capacity(db.len());
+    relabel_in_place(&mut dmg, &taxonomy);
+    Ok(Relabeled {
+        dmg,
+        originals: db.iter().map(|(_, g)| g.labels().to_vec()).collect(),
+        taxonomy: Arc::new(taxonomy),
+    })
+}
+
+/// Replaces every vertex label of `db` by its most general ancestor in
+/// `unified`, which must already be unified
+/// ([`Taxonomy::unify_most_general`]) and contain every label of `db`.
+/// The sharded miner unifies once per run and relabels each shard it
+/// reads through here, in place when it owns the shard and needs no
+/// original labels.
+pub(crate) fn relabel_in_place(db: &mut GraphDatabase, unified: &Taxonomy) {
     // Memoize label → most-general ancestor; label sets are small compared
     // to vertex counts.
     let mut mga_cache: std::collections::HashMap<NodeLabel, NodeLabel> =
         std::collections::HashMap::new();
-    for (gid, g) in db.iter() {
-        originals.push(g.labels().to_vec());
-        for (node, &l) in g.labels().iter().enumerate() {
+    for gid in 0..db.len() {
+        let g = db.graph_mut(gid);
+        for node in 0..g.node_count() {
+            let l = g.label(node);
             let mg = *mga_cache.entry(l).or_insert_with(|| {
-                taxonomy
+                unified
                     .most_general_ancestor(l)
                     .expect("unify_most_general makes every concept's root unique") // tsg-lint: allow(panic) — unify_most_general gives every concept a unique root
             });
-            dmg.graph_mut(gid).set_label(node, mg);
+            g.set_label(node, mg);
         }
     }
-    Ok(Relabeled {
-        dmg,
-        originals,
-        taxonomy: Arc::new(taxonomy),
-    })
 }
 
 #[cfg(test)]

@@ -13,14 +13,19 @@
 //!    one shard per worker regardless of database size.
 //! 2. **Pass 1 — local class discovery** ([`pass1`]): workers claim
 //!    shards from a shared counter, each reading its shard back,
-//!    relabeling it, and mining locally frequent pattern *classes* on
-//!    the work-stealing gSpan engine. Only (canonical DFS code,
-//!    skeleton) pairs survive; by the SON pigeonhole their union is a
-//!    complete candidate superset of the globally frequent classes.
-//! 3. **Pass 2a — exact global supports** ([`pass2`]): the shards are
-//!    streamed again and every candidate's support is recounted with
-//!    batched candidate-cache matching; per-shard counts sum to exactly
-//!    the serial engine's class supports.
+//!    relabeling it, and mining locally frequent pattern *classes* with
+//!    the serial gSpan search. Each (canonical DFS code,
+//!    skeleton) pair survives with its local support, and each shard
+//!    reports its local floor `⌈θ·nᵢ⌉`; by the SON pigeonhole the union
+//!    of the classes is a complete candidate superset of the globally
+//!    frequent classes.
+//! 3. **Pass 2a — exact global supports** ([`pass2`]): first, with no
+//!    shard read, the partition bound drops every candidate whose known
+//!    local supports plus `⌈θ·nᵢ⌉ − 1` for each unreporting shard cannot
+//!    reach the global floor. The shards are then streamed again and
+//!    each survivor is recounted, with batched candidate-cache matching,
+//!    only in the shards where its support is unknown; per-shard counts
+//!    sum to exactly the serial engine's class supports.
 //! 4. **Pass 2b — global Step 3**: each globally frequent class, taken
 //!    in canonical (= serial) order in batches of
 //!    [`ShardOptions::class_batch`], has its embeddings re-enumerated
@@ -31,6 +36,11 @@
 //!    miner. (This sidesteps the locally-over-generalized corner of
 //!    [`crate::son`] entirely: class membership is re-derived globally,
 //!    never reconstructed from local verdicts.)
+//!
+//! The taxonomy is unified ([`Taxonomy::unify_most_general`]) once per
+//! run, before Pass 1: unification does not depend on the database, so
+//! every shard read of every pass relabels against that one copy, and
+//! Step 3 uses it too.
 //!
 //! Governance threads through end to end: the cancel token and deadline
 //! are polled at every shard claim, budgets gate each Pass 2b class
@@ -126,8 +136,15 @@ pub struct ShardStats {
     pub shards: usize,
     /// Candidate classes after Pass 1 (union of local frequent sets).
     pub candidates: usize,
-    /// Candidates discarded as globally infrequent in Pass 2a.
+    /// Candidates found globally infrequent: those the partition bound
+    /// dropped plus those Pass 2a's exact supports rejected.
     pub globally_infrequent: usize,
+    /// Candidates the partition bound dropped before Pass 2a, without any
+    /// recount (a subset of `globally_infrequent`).
+    pub bound_pruned: usize,
+    /// Candidate × shard support counts Pass 2a actually ran: each
+    /// survivor is recounted only in shards where Pass 1 did not report it.
+    pub recounts: usize,
     /// Total bytes written to spill files.
     pub spilled_bytes: u64,
     /// Largest single shard file — the per-worker resident-set unit.
@@ -304,16 +321,16 @@ fn encoded_record_bytes(g: &LabeledGraph) -> u64 {
 /// Runs `f` once per shard across `threads` claiming workers, each
 /// holding one shard resident at a time. Claims poll the governor (a
 /// tripped cancel token or deadline stops further claims within one
-/// shard); the first error — lowest shard index on a tie — aborts the
-/// scan and is returned after every worker has unwound. Worker panics
-/// surface as [`TaxogramError::WorkerPanicked`], never as an abort or a
-/// deadlock. Returns the per-shard results plus whether the scan was
+/// shard); the first shard read error — lowest shard index on a tie —
+/// aborts the scan and is returned after every worker has unwound.
+/// Worker panics surface as [`TaxogramError::WorkerPanicked`], never as
+/// an abort or a deadlock. Returns the per-shard results plus whether the scan was
 /// stopped early by governance.
 fn scan_shards<T: Send>(
     set: &SpillSet,
     threads: usize,
     governor: &Governor,
-    f: impl Fn(usize, GraphDatabase) -> Result<T, TaxogramError> + Sync,
+    f: impl Fn(usize, GraphDatabase) -> T + Sync,
 ) -> Result<(Vec<Option<T>>, bool), TaxogramError> {
     let n = set.shard_count();
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
@@ -321,46 +338,51 @@ fn scan_shards<T: Send>(
     let stop = AtomicBool::new(false);
     let first_error: Mutex<Option<(usize, TaxogramError)>> = Mutex::new(None);
     let workers = threads.min(n).max(1);
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if stop.load(Ordering::Acquire) { // tsg-lint: ordering(ORD-12)
-                    break;
-                }
-                if governor.should_stop() {
-                    stop.store(true, Ordering::Release); // tsg-lint: ordering(ORD-12)
-                    break;
-                }
-                let shard = next.fetch_add(1, Ordering::Relaxed); // tsg-lint: ordering(ORD-13)
-                if shard >= n {
-                    break;
-                }
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    read_shard(set, shard).and_then(|shard_db| f(shard, shard_db))
-                }));
-                let err = match outcome {
-                    Ok(Ok(v)) => {
-                        recover(slots.lock())[shard] = Some(v); // tsg-lint: allow(index) — shard < shard_count and slots is sized to shard_count
-                        continue;
-                    }
-                    Ok(Err(e)) => e,
-                    Err(payload) => TaxogramError::WorkerPanicked {
-                        message: panic_message(payload.as_ref()),
-                    },
-                };
-                let mut guard = recover(first_error.lock());
-                let replace = match guard.as_ref() {
-                    Some((held, _)) => *held > shard,
-                    None => true,
-                };
-                if replace {
-                    *guard = Some((shard, err));
-                }
-                drop(guard);
-                stop.store(true, Ordering::Release); // tsg-lint: ordering(ORD-12)
-                break;
-            });
+    let worker = || loop {
+        if stop.load(Ordering::Acquire) { // tsg-lint: ordering(ORD-12)
+            break;
         }
+        if governor.should_stop() {
+            stop.store(true, Ordering::Release); // tsg-lint: ordering(ORD-12)
+            break;
+        }
+        let shard = next.fetch_add(1, Ordering::Relaxed); // tsg-lint: ordering(ORD-13)
+        if shard >= n {
+            break;
+        }
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            read_shard(set, shard).map(|shard_db| f(shard, shard_db))
+        }));
+        let err = match outcome {
+            Ok(Ok(v)) => {
+                recover(slots.lock())[shard] = Some(v); // tsg-lint: allow(index) — shard < shard_count and slots is sized to shard_count
+                continue;
+            }
+            Ok(Err(e)) => e,
+            Err(payload) => TaxogramError::WorkerPanicked {
+                message: panic_message(payload.as_ref()),
+            },
+        };
+        let mut guard = recover(first_error.lock());
+        let replace = match guard.as_ref() {
+            Some((held, _)) => *held > shard,
+            None => true,
+        };
+        if replace {
+            *guard = Some((shard, err));
+        }
+        drop(guard);
+        stop.store(true, Ordering::Release); // tsg-lint: ordering(ORD-12)
+        break;
+    };
+    // The calling thread is one of the workers, so a single-worker scan
+    // spawns no thread: each short-lived thread leaves a glibc allocator
+    // arena behind, and a fresh pair per pass raised peak RSS measurably.
+    thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(worker);
+        }
+        worker();
     });
     if let Some((_, e)) = recover(first_error.lock()).take() {
         return Err(e);
@@ -438,20 +460,26 @@ fn mine_impl(
         ..ShardStats::default()
     };
     let threads = options.threads.max(1);
+    // Unification does not depend on the database: one per run, shared by
+    // every shard read of every pass and by Step 3.
+    let unified = Arc::new(taxonomy.unify_most_general());
 
     // Pass 1: local class discovery, one resident shard per worker.
     let (slots, stopped) = scan_shards(&set, threads, governor, |_, shard_db| {
-        pass1::mine_shard(&shard_db, taxonomy, config)
+        pass1::mine_shard(shard_db, &unified, config)
     })?;
     shard_stats.db_streams += 1;
     if stopped {
         let partial = pass1::merge_candidates(
-            slots.into_iter().flatten().map(|s| s.classes).collect(),
+            slots
+                .into_iter()
+                .map(|s| s.map(|s| s.classes).unwrap_or_default())
+                .collect(),
         );
         shard_stats.candidates = partial.len();
         return Ok(early_stop(
             governor,
-            partial.iter().map(|(c, _)| c),
+            partial.iter().map(|c| &c.code),
             partial.len(),
             min_support,
             db_len,
@@ -459,6 +487,7 @@ fn mine_impl(
         ));
     }
     let mut freq_sums: Vec<usize> = Vec::new();
+    let mut local_mins = Vec::with_capacity(set.shard_count());
     let mut per_shard_classes = Vec::with_capacity(set.shard_count());
     for slot in slots {
         let s = slot.expect("unstopped scan fills every slot"); // tsg-lint: allow(panic) — unstopped scan fills every slot; stop was checked above
@@ -468,33 +497,42 @@ fn mine_impl(
         for (acc, f) in freq_sums.iter_mut().zip(&s.label_frequencies) {
             *acc += f;
         }
+        local_mins.push(s.local_min);
         per_shard_classes.push(s.classes);
     }
     let candidates = pass1::merge_candidates(per_shard_classes);
     shard_stats.candidates = candidates.len();
 
-    // Pass 2a: exact global class supports across a second shard stream.
-    let (slots, stopped) = scan_shards(&set, threads, governor, |_, shard_db| {
-        pass2::shard_supports(&shard_db, taxonomy, &candidates)
+    // The partition bound drops candidates that cannot reach the global
+    // floor before any shard is read again.
+    let (survivors, pruned) = pass2::bound_prune(candidates, &local_mins, min_support);
+    shard_stats.bound_pruned = pruned.len();
+    drop(pruned);
+
+    // Pass 2a: exact global supports of the survivors across a second
+    // shard stream, recounting only where Pass 1 left them unknown.
+    let (slots, stopped) = scan_shards(&set, threads, governor, |shard, shard_db| {
+        pass2::shard_supports(shard_db, &unified, &survivors, shard)
     })?;
     shard_stats.db_streams += 1;
     if stopped {
         return Ok(early_stop(
             governor,
-            candidates.iter().map(|(c, _)| c),
-            candidates.len(),
+            survivors.iter().map(|c| &c.code),
+            shard_stats.candidates,
             min_support,
             db_len,
             shard_stats,
         ));
     }
-    let mut supports = vec![0usize; candidates.len()];
-    for shard_counts in slots.into_iter().flatten() {
+    let mut supports = vec![0usize; survivors.len()];
+    for (shard_counts, recounts) in slots.into_iter().flatten() {
+        shard_stats.recounts += recounts;
         for (acc, c) in supports.iter_mut().zip(&shard_counts) {
             *acc += c;
         }
     }
-    let frequent: Vec<(DfsCode, LabeledGraph)> = candidates
+    let frequent: Vec<pass1::Candidate> = survivors
         .into_iter()
         .zip(&supports)
         .filter(|&(_, &sup)| sup >= min_support)
@@ -502,11 +540,9 @@ fn mine_impl(
         .collect();
     shard_stats.globally_infrequent = shard_stats.candidates - frequent.len();
 
-    // Step 3 scaffold on *global* data: the unified taxonomy (database-
-    // independent, so identical to every shard's), the summed frequent-
-    // label mask, and an originals table filled lazily per batch with
-    // the rows the occurrence indices actually touch.
-    let unified = Arc::new(taxonomy.unify_most_general());
+    // Step 3 scaffold on *global* data: the unified taxonomy, the summed
+    // frequent-label mask, and an originals table filled lazily per batch
+    // with the rows the occurrence indices actually touch.
     let frequent_mask = if config.enhancements.prune_infrequent_labels {
         let mut mask = BitSet::new(unified.concept_count());
         for (i, &f) in freq_sums.iter().enumerate() {
@@ -522,7 +558,7 @@ fn mine_impl(
         rel: Relabeled {
             dmg: GraphDatabase::new(),
             originals: vec![Vec::new(); db_len],
-            taxonomy: unified,
+            taxonomy: Arc::clone(&unified),
         },
         frequent_mask,
         min_support,
@@ -539,7 +575,7 @@ fn mine_impl(
     let batch_size = options.class_batch.max(1);
     'batches: for batch in frequent.chunks(batch_size) {
         let (slots, stopped) = scan_shards(&set, threads, governor, |shard, shard_db| {
-            pass2::collect_shard_embeddings(&shard_db, taxonomy, batch, set.range(shard).0)
+            pass2::collect_shard_embeddings(&shard_db, &unified, batch, set.range(shard).0)
         })?;
         shard_stats.db_streams += 1;
         if stopped {
@@ -558,7 +594,7 @@ fn mine_impl(
                 acc.extend(embeddings);
             }
         }
-        for ((_, skeleton), embeddings) in batch.iter().zip(per_class) {
+        for (class, embeddings) in batch.iter().zip(per_class) {
             let emb_bytes = embedding_heap_bytes(&embeddings);
             emb_gauge.add(emb_bytes);
             // Admission in serial class order — the same gate, in the
@@ -569,7 +605,7 @@ fn mine_impl(
                 break 'batches;
             }
             let out = enumerate_class(
-                skeleton,
+                &class.skeleton,
                 &embeddings,
                 &prepared,
                 config,
@@ -592,7 +628,7 @@ fn mine_impl(
     let frontier: Vec<String> = frequent[finished..] // tsg-lint: allow(index) — finished <= frequent.len() by take_while
         .iter()
         .take(FRONTIER_CAP)
-        .map(|(code, _)| code.to_string())
+        .map(|c| c.code.to_string())
         .collect();
     let termination = governor.finish(finished, abandoned, frontier);
     let mut result = merge_outputs(outputs.into_iter(), finished, &prepared);
@@ -640,6 +676,202 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Mines sharded and serially, asserts byte-identical pattern
+    /// streams, and returns the sharding counters.
+    fn sharded_stats(
+        cfg: &TaxogramConfig,
+        db: &GraphDatabase,
+        t: &Taxonomy,
+        shards: usize,
+    ) -> ShardStats {
+        let serial = Taxogram::new(*cfg).mine(db, t).unwrap();
+        let sharded = mine_sharded(cfg, db, t, &options(shards, 2)).unwrap();
+        assert!(sharded.termination.is_complete());
+        assert_eq!(serial.patterns.len(), sharded.result.patterns.len());
+        for (a, b) in serial.patterns.iter().zip(&sharded.result.patterns) {
+            assert_eq!(a.graph.labels(), b.graph.labels());
+            assert_eq!(a.graph.edges(), b.graph.edges());
+            assert_eq!(a.support_count, b.support_count);
+        }
+        sharded.shard_stats
+    }
+
+    /// Four vertices labeled 0, 1, 2, 2 in two components: the edge 0—1
+    /// (edge label 0) and the edge 2—2 with edge label `l`. Every such
+    /// graph encodes to the same size, so shard plans split them evenly.
+    fn two_component_graph(l: u32) -> LabeledGraph {
+        use tsg_graph::{EdgeLabel, NodeLabel};
+        let mut g = LabeledGraph::with_nodes([0, 1, 2, 2].map(NodeLabel));
+        g.add_edge(0, 1, EdgeLabel(0)).unwrap();
+        g.add_edge(2, 3, EdgeLabel(l)).unwrap();
+        g
+    }
+
+    /// A database of `two_component_graph`s, one per edge label given.
+    fn two_component_db(labels: &[u32]) -> GraphDatabase {
+        GraphDatabase::from_graphs(labels.iter().map(|&l| two_component_graph(l)).collect())
+    }
+
+    fn flat_taxonomy() -> Taxonomy {
+        tsg_taxonomy::taxonomy_from_edges(3, std::iter::empty()).unwrap()
+    }
+
+    /// Pass 1 and the bound on in-memory copies of the planned shards:
+    /// returns the surviving and the pruned candidates plus the global
+    /// floor.
+    fn pass1_and_bound(
+        cfg: &TaxogramConfig,
+        db: &GraphDatabase,
+        t: &Taxonomy,
+        shards: usize,
+    ) -> (Vec<pass1::Candidate>, Vec<pass1::Candidate>, usize) {
+        let unified = Arc::new(t.unify_most_general());
+        let mut local_mins = Vec::new();
+        let mut per_shard = Vec::new();
+        for (lo, hi) in plan_shards(db, &options(shards, 1)) {
+            let shard_db = GraphDatabase::from_graphs(db.graphs()[lo..hi].to_vec());
+            let s = pass1::mine_shard(shard_db, &unified, cfg);
+            local_mins.push(s.local_min);
+            per_shard.push(s.classes);
+        }
+        let min_support = db.min_support_count(cfg.threshold);
+        let candidates = pass1::merge_candidates(per_shard);
+        let (survivors, pruned) = pass2::bound_prune(candidates, &local_mins, min_support);
+        (survivors, pruned, min_support)
+    }
+
+    /// Exact whole-database class support of each candidate.
+    fn full_supports(db: &GraphDatabase, t: &Taxonomy, cands: &[pass1::Candidate]) -> Vec<usize> {
+        let rel = crate::relabel::relabel(db, t).unwrap();
+        let matcher = tsg_iso::ExactMatcher;
+        let batched = tsg_iso::BatchedMatcher::new(&rel.dmg, &matcher);
+        cands.iter().map(|c| batched.support_count(&c.skeleton)).collect()
+    }
+
+    #[test]
+    fn class_frequent_in_one_of_many_shards_is_pruned_without_recounts() {
+        // Eight shards of four graphs, θ = 1/2: global floor 16, local
+        // floor 2, so each unreporting shard adds a slack of 1. The 2—2
+        // class with edge label 1 fills shard 0 only: its bound is
+        // 4 + 7·1 = 11 < 16. The label-0 twin fills shards 1–7 and needs
+        // one recount (in shard 0); the 0—1 class is known everywhere.
+        let mut labels = vec![1; 4];
+        labels.extend([0; 28]);
+        let db = two_component_db(&labels);
+        let t = flat_taxonomy();
+        let plan = plan_shards(&db, &options(8, 1));
+        assert!(plan.iter().all(|&(lo, hi)| hi - lo == 4), "{plan:?}");
+        let cfg = TaxogramConfig::with_threshold(0.5);
+        let stats = sharded_stats(&cfg, &db, &t, 8);
+        assert_eq!(stats.candidates, 3);
+        assert_eq!(stats.bound_pruned, 1);
+        assert_eq!(stats.globally_infrequent, 1);
+        assert_eq!(stats.recounts, 1, "only the label-0 class, only in shard 0");
+    }
+
+    #[test]
+    fn bound_equal_to_min_support_is_kept() {
+        // Four shards of four graphs, θ = 1/2: global floor 8, local
+        // floor 2. Edge label 0 fills three graphs of shards 0–1 and one
+        // of shards 2–3 (unreported there): bound 3 + 3 + 1 + 1 = 8, the
+        // floor exactly, and the exact support is 8 too. Label 1 mirrors
+        // it. Dropping a bound equal to the floor would lose both.
+        let db = two_component_db(&[0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]);
+        let t = flat_taxonomy();
+        let cfg = TaxogramConfig::with_threshold(0.5);
+        let (survivors, pruned, min_support) = pass1_and_bound(&cfg, &db, &t, 4);
+        assert_eq!(min_support, 8);
+        assert!(pruned.is_empty());
+        assert_eq!(full_supports(&db, &t, &survivors), vec![16, 8, 8]);
+        let stats = sharded_stats(&cfg, &db, &t, 4);
+        assert_eq!(stats.bound_pruned, 0);
+        assert_eq!(stats.globally_infrequent, 0);
+        assert_eq!(stats.recounts, 4, "each 2—2 class in its two unreporting shards");
+    }
+
+    #[test]
+    fn small_theta_has_no_slack_so_the_bound_is_exact() {
+        // θ = 1/10 over four-graph shards: local floor 1, so an
+        // unreporting shard holds the class in no graph at all and the
+        // bound is the exact support. Every globally infrequent candidate
+        // (the edge-label-2 class, in one graph) falls to the bound, and
+        // every recount finds nothing.
+        let db = two_component_db(&[0, 0, 0, 2, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]);
+        let t = flat_taxonomy();
+        let cfg = TaxogramConfig::with_threshold(0.1);
+        let (survivors, pruned, min_support) = pass1_and_bound(&cfg, &db, &t, 4);
+        assert_eq!(min_support, 2);
+        assert_eq!(full_supports(&db, &t, &pruned), vec![1]);
+        for (c, full) in survivors.iter().zip(full_supports(&db, &t, &survivors)) {
+            let known: usize = c.known.iter().map(|&(_, sup)| sup).sum();
+            assert_eq!(known, full, "no support hides in an unreporting shard");
+        }
+        let stats = sharded_stats(&cfg, &db, &t, 4);
+        assert_eq!(stats.bound_pruned, 1);
+        assert_eq!(stats.globally_infrequent, stats.bound_pruned);
+    }
+
+    #[test]
+    fn bound_respects_uneven_shard_sizes() {
+        use tsg_graph::{EdgeLabel, NodeLabel};
+        // Two 40-vertex paths, then twelve single edges 1—2: the byte
+        // planner gives each path a shard of its own (local floor 1, no
+        // slack) and the twelve edges one shard (θ = 0.4: local floor 5,
+        // slack 4). Global floor 6.
+        let mut graphs = Vec::new();
+        for _ in 0..2 {
+            let mut g = LabeledGraph::with_nodes((0..40).map(|_| NodeLabel(0)));
+            for v in 1..40 {
+                g.add_edge(v - 1, v, EdgeLabel(0)).unwrap();
+            }
+            graphs.push(g);
+        }
+        for l in [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1] {
+            let mut g = LabeledGraph::with_nodes([NodeLabel(1), NodeLabel(2)]);
+            g.add_edge(0, 1, EdgeLabel(l)).unwrap();
+            graphs.push(g);
+        }
+        let db = GraphDatabase::from_graphs(graphs);
+        let t = flat_taxonomy();
+        assert_eq!(plan_shards(&db, &options(4, 1)), vec![(0, 1), (1, 2), (2, 14)]);
+        let cfg = TaxogramConfig::with_threshold(0.4).max_edges(2);
+        let (survivors, pruned, min_support) = pass1_and_bound(&cfg, &db, &t, 4);
+        assert_eq!(min_support, 6);
+        // The 1—2 edge with label 0 (5 graphs, all in the big shard):
+        // bound 5 + 0 + 0 < 6. The path classes (one graph per small
+        // shard): bound 1 + 1 + 4 = 6, kept, yet only 2 graphs hold them.
+        assert_eq!(full_supports(&db, &t, &pruned), vec![5]);
+        assert_eq!(full_supports(&db, &t, &survivors), vec![2, 2, 7]);
+        let stats = sharded_stats(&cfg, &db, &t, 4);
+        assert_eq!(stats.candidates, 4);
+        assert_eq!(stats.bound_pruned, 1);
+        assert_eq!(stats.globally_infrequent, 3);
+        assert_eq!(stats.recounts, 4, "two paths in the big shard, label 1 in both small ones");
+    }
+
+    #[test]
+    fn every_pruned_candidate_is_globally_infrequent() {
+        let n = tsg_testkit::gen::case_count(64);
+        let mut pruned_total = 0;
+        for case in tsg_testkit::gen::cases(0xb0_0d, n) {
+            let (db, t) = (&case.db, &case.taxonomy);
+            let cfg = TaxogramConfig::with_threshold(case.theta).max_edges(3);
+            for shards in [2, 3, 5, 8] {
+                let (_, pruned, min_support) = pass1_and_bound(&cfg, db, t, shards);
+                for (c, sup) in pruned.iter().zip(full_supports(db, t, &pruned)) {
+                    assert!(
+                        sup < min_support,
+                        "seed {:#x}, {shards} shards: pruned {} has support {sup} ≥ {min_support}",
+                        case.seed,
+                        c.code
+                    );
+                }
+                pruned_total += pruned.len();
+            }
+        }
+        assert!(pruned_total > 0, "the generated cases must exercise the bound");
     }
 
     #[test]

@@ -1,12 +1,22 @@
 //! Pass 2: exact global verification, streaming the shards again.
 //!
-//! * **Pass 2a** recounts every candidate class's support over each
-//!   shard with [`tsg_iso::BatchedMatcher`] — one candidate-set cache
-//!   per resident graph amortizes label-compatibility scans across the
-//!   whole candidate list. Matching the most-general skeleton *exactly*
-//!   against the relabeled shard is the same predicate gSpan's class
-//!   support uses on the whole relabeled database, so summing per-shard
-//!   counts yields exactly the serial engine's class supports.
+//! * **Bound** ([`bound_prune`]), before any shard is read: Pass 1
+//!   reported each candidate's local support in the shards where it was
+//!   locally frequent, and a shard that did not report it holds it in at
+//!   most `local_minᵢ − 1` graphs. Known supports plus that slack over
+//!   every other shard is an upper bound on the global support (the
+//!   partition bound of Savasere, Omiecinski and Navathe, VLDB'95); a
+//!   candidate whose bound is below the global floor is dropped without
+//!   a single match.
+//! * **Pass 2a** ([`shard_supports`]) recounts each surviving candidate
+//!   only in the shards where its support is unknown, with
+//!   [`tsg_iso::BatchedMatcher`] — one candidate-set cache per resident
+//!   graph amortizes label-compatibility scans across the recount list —
+//!   and fills in the known supports elsewhere. Matching the
+//!   most-general skeleton *exactly* against the relabeled shard is the
+//!   same predicate gSpan's class support uses on the whole relabeled
+//!   database, so summing per-shard counts yields exactly the serial
+//!   engine's class supports.
 //! * **Pass 2b** re-enumerates each globally frequent class's
 //!   embeddings on global data, shard by shard, via
 //!   [`BatchedMatcher::for_each_embedding`]. Concatenating per-shard
@@ -14,28 +24,60 @@
 //!   and each embedding's `map` is indexed by skeleton vertex id = DFS
 //!   id — the exact shape Step 3's occurrence index expects from the
 //!   single-pass engines.
+//!
+//! Every shard read relabels against the run's once-unified taxonomy
+//! ([`crate::relabel::relabel_in_place`]); unification does not depend
+//! on the database, so it is never repeated per shard.
 
-use crate::error::TaxogramError;
-use crate::relabel::relabel;
-use tsg_gspan::{DfsCode, Embedding};
-use tsg_graph::{GraphDatabase, LabeledGraph, NodeLabel};
+use super::pass1::Candidate;
+use crate::relabel::relabel_in_place;
+use tsg_gspan::Embedding;
+use tsg_graph::{GraphDatabase, NodeLabel};
 use tsg_iso::{BatchedMatcher, ExactMatcher};
 use tsg_taxonomy::Taxonomy;
 
-/// Counts, for each candidate class, how many graphs of this resident
-/// shard contain its skeleton (exact matching on the relabeled shard).
+/// Splits Pass 1's candidates into `(survivors, pruned)` by the partition
+/// bound: `Σ known supports + Σ over unreporting shards (local_minᵢ − 1)`
+/// against `min_support`. `local_mins[i]` is shard `i`'s local floor.
+/// Exact: every pruned candidate's global support is below
+/// `min_support`; survivors keep canonical order.
+pub(crate) fn bound_prune(
+    candidates: Vec<Candidate>,
+    local_mins: &[usize],
+    min_support: usize,
+) -> (Vec<Candidate>, Vec<Candidate>) {
+    let slack = |shard: usize| local_mins.get(shard).map_or(0, |&m| m.saturating_sub(1));
+    let total_slack: usize = (0..local_mins.len()).map(slack).sum();
+    candidates.into_iter().partition(|c| {
+        let known: usize = c.known.iter().map(|&(_, sup)| sup).sum();
+        let known_slack: usize = c.known.iter().map(|&(shard, _)| slack(shard)).sum();
+        known + (total_slack - known_slack) >= min_support
+    })
+}
+
+/// Per surviving candidate, its support in this resident shard: the
+/// Pass 1 figure where the shard reported it, an exact recount on the
+/// relabeled shard otherwise. Also returns the number of recounts run.
 pub(crate) fn shard_supports(
-    shard_db: &GraphDatabase,
-    taxonomy: &Taxonomy,
-    candidates: &[(DfsCode, LabeledGraph)],
-) -> Result<Vec<usize>, TaxogramError> {
-    let rel = relabel(shard_db, taxonomy)?;
+    mut shard_db: GraphDatabase,
+    unified: &Taxonomy,
+    survivors: &[Candidate],
+    shard: usize,
+) -> (Vec<usize>, usize) {
+    relabel_in_place(&mut shard_db, unified);
     let matcher = ExactMatcher;
-    let batched = BatchedMatcher::new(&rel.dmg, &matcher);
-    Ok(candidates
+    let batched = BatchedMatcher::new(&shard_db, &matcher);
+    let mut recounts = 0;
+    let supports = survivors
         .iter()
-        .map(|(_, skeleton)| batched.support_count(skeleton))
-        .collect())
+        .map(|c| {
+            c.known_in(shard).unwrap_or_else(|| {
+                recounts += 1;
+                batched.support_count(&c.skeleton)
+            })
+        })
+        .collect();
+    (supports, recounts)
 }
 
 /// What one shard contributes to a Pass 2b class batch.
@@ -53,19 +95,20 @@ pub(crate) struct ShardEmbeddings {
 /// shard. `start` is the shard's first global graph id.
 pub(crate) fn collect_shard_embeddings(
     shard_db: &GraphDatabase,
-    taxonomy: &Taxonomy,
-    batch: &[(DfsCode, LabeledGraph)],
+    unified: &Taxonomy,
+    batch: &[Candidate],
     start: usize,
-) -> Result<ShardEmbeddings, TaxogramError> {
-    let rel = relabel(shard_db, taxonomy)?;
+) -> ShardEmbeddings {
+    let mut dmg = shard_db.clone();
+    relabel_in_place(&mut dmg, unified);
     let matcher = ExactMatcher;
-    let batched = BatchedMatcher::new(&rel.dmg, &matcher);
+    let batched = BatchedMatcher::new(&dmg, &matcher);
     let mut touched = vec![false; shard_db.len()];
     let mut per_class = Vec::with_capacity(batch.len());
-    for (_, skeleton) in batch {
+    for class in batch {
         let mut embeddings = Vec::new();
-        batched.for_each_embedding(skeleton, |local, map| {
-            touched[local] = true; // tsg-lint: allow(index) — local < batch length by the grouping above
+        batched.for_each_embedding(&class.skeleton, |local, map| {
+            touched[local] = true; // tsg-lint: allow(index) — local < shard_db.len(), the shard's graph count
             embeddings.push(Embedding {
                 gid: start + local,
                 map: map.to_vec(),
@@ -76,15 +119,14 @@ pub(crate) fn collect_shard_embeddings(
         });
         per_class.push(embeddings);
     }
-    let mut rows = rel.originals;
-    let originals = touched
+    let originals = shard_db
         .iter()
-        .enumerate()
+        .zip(&touched)
         .filter(|&(_, &t)| t)
-        .map(|(local, _)| (start + local, std::mem::take(&mut rows[local]))) // tsg-lint: allow(index) — local enumerates rows' own indices
+        .map(|((local, g), _)| (start + local, g.labels().to_vec()))
         .collect();
-    Ok(ShardEmbeddings {
+    ShardEmbeddings {
         per_class,
         originals,
-    })
+    }
 }

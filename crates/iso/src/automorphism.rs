@@ -48,18 +48,34 @@ pub fn canonical_under_automorphisms(
     labels: &[NodeLabel],
     autos: &[Vec<NodeId>],
 ) -> Vec<NodeLabel> {
-    let mut best: Option<Vec<NodeLabel>> = None;
-    let mut candidate = vec![NodeLabel(0); labels.len()];
-    for pi in autos {
+    let mut out = Vec::with_capacity(labels.len());
+    canonical_under_automorphisms_into(labels, autos, &mut out);
+    out
+}
+
+/// [`canonical_under_automorphisms`], appending the canonical vector to
+/// `out` instead of allocating one.
+///
+/// # Panics
+/// Panics if some permutation's length differs from `labels`'s.
+pub fn canonical_under_automorphisms_into(
+    labels: &[NodeLabel],
+    autos: &[Vec<NodeId>],
+    out: &mut Vec<NodeLabel>,
+) {
+    fn image<'a>(
+        labels: &'a [NodeLabel],
+        pi: &'a [NodeId],
+    ) -> impl Iterator<Item = NodeLabel> + 'a {
         assert_eq!(pi.len(), labels.len(), "permutation length mismatch");
-        for (slot, &img) in candidate.iter_mut().zip(pi.iter()) {
-            *slot = labels[img]; // tsg-lint: allow(index) — img is a permutation image within node count
-        }
-        if best.as_ref().is_none_or(|b| candidate < *b) {
-            best = Some(candidate.clone());
-        }
+        pi.iter().map(move |&img| labels[img]) // tsg-lint: allow(index) — img is a permutation image within node count
     }
-    best.unwrap_or_default()
+    if let Some(best) = autos
+        .iter()
+        .min_by(|a, b| image(labels, a).cmp(image(labels, b)))
+    {
+        out.extend(image(labels, best));
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,10 @@ mod candidates;
 mod matcher;
 mod subiso;
 
-pub use automorphism::{automorphism_count, automorphisms, canonical_under_automorphisms};
+pub use automorphism::{
+    automorphism_count, automorphisms, canonical_under_automorphisms,
+    canonical_under_automorphisms_into,
+};
 pub use candidates::{BatchedMatcher, CandidateCache};
 pub use matcher::{ExactMatcher, GeneralizedMatcher, LabelMatcher};
 pub use subiso::{

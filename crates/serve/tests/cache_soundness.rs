@@ -138,3 +138,31 @@ proptest! {
         let _ = enhanced;
     }
 }
+
+/// Regression: the deep-taxonomy TD15 input at scale 0.005 (12,546
+/// patterns at θ′ = 0.335, floor 7). Raising θ prunes enumeration paths,
+/// which used to move the point where Step 3 first reached a pattern —
+/// and with it the pattern's position and automorphic representative —
+/// so a θ = 0.3 run filtered to θ′ listed the right patterns in another
+/// order from index 7377 on. A cache hit must be byte-identical to a
+/// miss.
+#[test]
+fn td15_filtered_cache_matches_fresh_mine_byte_for_byte() {
+    use tsg_datagen::registry::{build, DatasetId};
+    let ds = build(DatasetId::TD(15), 0.005);
+    let (theta_cached, theta_query) = (0.3, 0.335);
+    let mine = |theta: f64| {
+        Taxogram::new(TaxogramConfig::with_threshold(theta).max_edges(6))
+            .mine(&ds.database, &ds.taxonomy)
+            .unwrap()
+    };
+    let floor = ds.database.min_support_count(theta_query);
+    assert_eq!(floor, 7);
+    let fresh = mine(theta_query);
+    assert_eq!(fresh.patterns.len(), 12_546);
+    let filtered = filter_run(&mine(theta_cached), floor);
+    assert!(
+        render_patterns(&filtered) == render_patterns(&fresh.patterns),
+        "θ={theta_cached} filtered to θ′={theta_query} must render exactly as a fresh θ′ mine"
+    );
+}

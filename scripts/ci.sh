@@ -134,6 +134,13 @@ cargo test -q -p tsg-serve --test fault_matrix
 cargo test -q -p tsg-serve --test cache_soundness
 cargo test -q -p tsg-serve --test load_smoke
 
+# Benchmark self-test stage: the benchmark package (taxobench/, outside
+# the workspace) runs its own unit tests, including a traced and an
+# untraced smoke run of all four workloads whose every mine and response
+# is checked against the serial engine's output.
+echo "== benchmark self-tests (taxobench smoke of all four workloads) =="
+cargo test --release --manifest-path taxobench/Cargo.toml
+
 # Model-checking stage: rebuild the sync facade in tsg_model mode (the
 # tsg-check deterministic scheduler + vector-clock race detector) and
 # run the concurrency contract tests — bounded-exhaustive interleaving

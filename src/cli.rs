@@ -249,11 +249,14 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 writeln!(
                     out,
                     "# {} patterns from {} shards ({} candidates, {} globally infrequent, \
+                     {} bound-pruned, {} recounts, \
                      {} bytes spilled / largest shard {}, {} db streams)",
                     outcome.result.patterns.len(),
                     s.shards,
                     s.candidates,
                     s.globally_infrequent,
+                    s.bound_pruned,
+                    s.recounts,
                     s.spilled_bytes,
                     s.largest_shard_bytes,
                     s.db_streams
@@ -770,6 +773,8 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{shard_out}");
         assert!(shard_out.contains("shards"), "{shard_out}");
+        assert!(shard_out.contains("bound-pruned"), "{shard_out}");
+        assert!(shard_out.contains("recounts"), "{shard_out}");
         assert!(shard_out.contains("# termination: completed"), "{shard_out}");
         assert_eq!(
             pattern_lines(&serial_out),
