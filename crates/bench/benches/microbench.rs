@@ -9,8 +9,7 @@
 //!   equivalents (DESIGN.md §8), plus the adaptive containers against
 //!   the retired sorted-vec gallop kernel on Roaring-favorable
 //!   clustered operands (DESIGN.md §13);
-//! * the collect-all barrier engine vs the streaming pipelined engine at
-//!   equal thread counts.
+//! * the serial engine vs the streaming pipelined engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tsg_bench::kernels::{baseline_gallop_count, clustered_members};
@@ -242,7 +241,7 @@ fn sparse_intersection_regimes(c: &mut Criterion) {
     group.finish();
 }
 
-/// Barrier vs pipelined engine, end to end, at equal thread counts.
+/// Serial vs pipelined engine, end to end.
 fn engines(c: &mut Criterion) {
     let ds = tsg_datagen::registry::build(
         tsg_datagen::registry::DatasetId::D(1000),
@@ -263,14 +262,6 @@ fn engines(c: &mut Criterion) {
         });
     });
     for threads in [2usize, 4] {
-        group.bench_with_input(BenchmarkId::new("barrier", threads), &threads, |b, &t| {
-            b.iter(|| {
-                taxogram_core::mine_parallel(&cfg, &ds.database, &ds.taxonomy, t)
-                    .unwrap()
-                    .patterns
-                    .len()
-            });
-        });
         group.bench_with_input(BenchmarkId::new("pipelined", threads), &threads, |b, &t| {
             b.iter(|| {
                 taxogram_core::mine_pipelined(&cfg, &ds.database, &ds.taxonomy, t)

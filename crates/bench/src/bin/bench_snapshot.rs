@@ -2,10 +2,10 @@
 //! the machine (logical CPUs, CPU model, 1-minute load average at start),
 //! median nanoseconds for the hot bitset kernels (shared with the
 //! `kernel_gate` CI stage via `tsg_bench::kernels`), end-to-end
-//! D1000/θ=0.2 mine times for the serial, barrier-parallel,
-//! streaming-pipelined, and work-stealing engines, a `thread_scaling`
-//! section sweeping the scaling engines over 1/2/4/8 workers (with the
-//! host's core count recorded next to the rows — on a single-core host
+//! D1000/θ=0.2 mine times for the serial and streaming-pipelined
+//! engines, a `thread_scaling` section sweeping the pipelined engine
+//! over 1/2/4/8 requested workers (with the host's core count recorded
+//! next to the rows — the engine clamps to it, and on a single-core host
 //! the sweep measures scheduling overhead, not speedup), a
 //! `taxonomy_scale` section measuring the interval-labeled reachability
 //! layer at 10⁵ and 10⁶ concepts, a `serve_load` section driving an
@@ -76,27 +76,22 @@ fn main() {
     let kernels = tsg_bench::kernels::kernel_medians();
 
     // --- End-to-end engines on D1000, θ = 0.2 ---------------------------
-    // Reps are interleaved (serial, barrier, pipelined, stealing per
-    // round) so machine-load drift hits all engines equally, and the
-    // *minimum* over reps is reported: external load only ever adds time,
-    // so the min is the least-noisy estimate of an engine's true cost.
+    // Reps are interleaved (serial, pipelined per round) so machine-load
+    // drift hits both engines equally, and the *minimum* over reps is
+    // reported: external load only ever adds time, so the min is the
+    // least-noisy estimate of an engine's true cost.
     let ds = build(DatasetId::D(1000), profile.scale);
     let cfg = taxogram_core::TaxogramConfig::with_threshold(0.2).max_edges(5);
     let reps = 15usize;
 
-    let barrier = taxogram_core::mine_parallel(&cfg, &ds.database, &ds.taxonomy, threads).unwrap();
+    let serial = taxogram_core::Taxogram::new(cfg)
+        .mine(&ds.database, &ds.taxonomy)
+        .unwrap();
     let piped = taxogram_core::mine_pipelined(&cfg, &ds.database, &ds.taxonomy, threads).unwrap();
-    let stolen =
-        taxogram_core::mine_stealing(&cfg, &ds.database, &ds.taxonomy, threads).unwrap();
     assert_eq!(
-        barrier.patterns.len(),
+        serial.patterns.len(),
         piped.patterns.len(),
         "engines must agree before a snapshot is worth recording"
-    );
-    assert_eq!(
-        piped.patterns.len(),
-        stolen.patterns.len(),
-        "stealing engine must agree before a snapshot is worth recording"
     );
 
     let time_once = |f: &dyn Fn() -> usize| -> f64 {
@@ -111,74 +106,38 @@ fn main() {
             .patterns
             .len()
     };
-    let barrier_run = || {
-        taxogram_core::mine_parallel(&cfg, &ds.database, &ds.taxonomy, threads)
-            .unwrap()
-            .patterns
-            .len()
-    };
     let piped_run = || {
         taxogram_core::mine_pipelined(&cfg, &ds.database, &ds.taxonomy, threads)
             .unwrap()
             .patterns
             .len()
     };
-    let steal_run = || {
-        taxogram_core::mine_stealing(&cfg, &ds.database, &ds.taxonomy, threads)
-            .unwrap()
-            .patterns
-            .len()
-    };
     let mut t_serial = Vec::with_capacity(reps);
-    let mut t_barrier = Vec::with_capacity(reps);
     let mut t_piped = Vec::with_capacity(reps);
-    let mut t_steal = Vec::with_capacity(reps);
     for _ in 0..reps {
         t_serial.push(time_once(&serial_run));
-        t_barrier.push(time_once(&barrier_run));
         t_piped.push(time_once(&piped_run));
-        t_steal.push(time_once(&steal_run));
     }
     let best = |v: &[f64]| -> f64 { v.iter().copied().fold(f64::INFINITY, f64::min) };
     let serial_ms = best(&t_serial);
-    let barrier_ms = best(&t_barrier);
     let piped_ms = best(&t_piped);
-    let steal_ms = best(&t_steal);
 
-    // --- Thread scaling: pipelined vs stealing over 1/2/4/8 workers -----
-    // clamp_to_cores off so every requested worker count actually runs;
-    // on a host with fewer cores the extra workers time-slice, which
-    // still exercises (and times) the full scheduling machinery.
+    // --- Thread scaling: pipelined over 1/2/4/8 requested workers -------
+    // The engine clamps the request to the host's cores; `steals` counts
+    // the classes the producer took back from a full channel.
     let scaling_reps = 5usize;
-    let thread_scaling: Vec<(usize, f64, f64, usize)> = [1usize, 2, 4, 8]
+    let thread_scaling: Vec<(usize, f64, usize)> = [1usize, 2, 4, 8]
         .into_iter()
         .map(|t| {
             let mut piped_times = Vec::with_capacity(scaling_reps);
-            let mut steal_times = Vec::with_capacity(scaling_reps);
             let mut steals = 0usize;
             for _ in 0..scaling_reps {
-                piped_times.push(time_once(&|| {
-                    taxogram_core::mine_pipelined(&cfg, &ds.database, &ds.taxonomy, t)
-                        .unwrap()
-                        .patterns
-                        .len()
-                }));
                 let start = Instant::now();
-                let r = taxogram_core::mine_stealing_with(
-                    &cfg,
-                    &ds.database,
-                    &ds.taxonomy,
-                    taxogram_core::StealOptions {
-                        threads: t,
-                        deque_capacity: 0,
-                        clamp_to_cores: false,
-                    },
-                )
-                .unwrap();
-                steal_times.push(start.elapsed().as_nanos() as f64 / 1e6);
+                let r = taxogram_core::mine_pipelined(&cfg, &ds.database, &ds.taxonomy, t).unwrap();
+                piped_times.push(start.elapsed().as_nanos() as f64 / 1e6);
                 steals = steals.max(r.stats.steals);
             }
-            (t, best(&piped_times), best(&steal_times), steals)
+            (t, best(&piped_times), steals)
         })
         .collect();
 
@@ -318,28 +277,24 @@ fn main() {
     }
     json.push_str("  },\n");
     json.push_str(&format!(
-        "  \"d1000_theta02\": {{\n    \"scale\": {},\n    \"threads\": {},\n    \"patterns\": {},\n    \"serial_ms\": {:.3},\n    \"barrier_ms\": {:.3},\n    \"pipelined_ms\": {:.3},\n    \"stealing_ms\": {:.3},\n    \"barrier_peak_embedding_bytes\": {},\n    \"pipelined_peak_embedding_bytes\": {},\n    \"stealing_peak_embedding_bytes\": {}\n  }},\n",
+        "  \"d1000_theta02\": {{\n    \"scale\": {},\n    \"threads\": {},\n    \"patterns\": {},\n    \"serial_ms\": {:.3},\n    \"pipelined_ms\": {:.3},\n    \"pipelined_peak_embedding_bytes\": {}\n  }},\n",
         profile.scale,
         threads,
         piped.patterns.len(),
         serial_ms,
-        barrier_ms,
         piped_ms,
-        steal_ms,
-        barrier.stats.peak_embedding_bytes,
         piped.stats.peak_embedding_bytes,
-        stolen.stats.peak_embedding_bytes,
     ));
     json.push_str("  \"thread_scaling\": {\n");
     json.push_str(&format!("    \"host_nproc\": {nproc},\n"));
     json.push_str(
-        "    \"note\": \"worker counts above host_nproc time-slice on shared cores; on a single-core host these rows measure scheduling overhead, not parallel speedup\",\n",
+        "    \"note\": \"the engine clamps worker counts to host_nproc; on a single-core host these rows measure scheduling overhead, not parallel speedup\",\n",
     );
     json.push_str("    \"rows\": [\n");
-    for (i, (t, piped_ms, steal_ms, steals)) in thread_scaling.iter().enumerate() {
+    for (i, (t, piped_ms, steals)) in thread_scaling.iter().enumerate() {
         let comma = if i + 1 < thread_scaling.len() { "," } else { "" };
         json.push_str(&format!(
-            "      {{ \"threads\": {t}, \"pipelined_ms\": {piped_ms:.3}, \"stealing_ms\": {steal_ms:.3}, \"steals\": {steals} }}{comma}\n"
+            "      {{ \"threads\": {t}, \"pipelined_ms\": {piped_ms:.3}, \"steals\": {steals} }}{comma}\n"
         ));
     }
     json.push_str("    ]\n  },\n");

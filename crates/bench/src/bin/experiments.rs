@@ -14,8 +14,9 @@
 //! `fig4_6`, `fig4_7`, `table2`, `fig4_8`, `ablation`, `parallel`,
 //! `governed`, `all`.
 //!
-//! The `governed` experiment runs all four engines on D1000/θ=0.2 under a
-//! resource budget and reports the truthful termination of each:
+//! The `governed` experiment runs the serial and pipelined engines on
+//! D1000/θ=0.2 under a resource budget and reports the truthful
+//! termination of each:
 //!
 //! ```text
 //! cargo run --release -p tsg-bench --bin experiments -- --exp governed --time-limit 0.5
@@ -197,17 +198,14 @@ fn main() {
         print_count_rows("support×100", &exp::fig4_8(&profile));
     }
     if want("parallel") {
-        section("Parallel scaling (beyond the paper) — barrier vs pipelined vs stealing on D3000");
+        section("Parallel scaling (beyond the paper) — pipelined engine on D3000");
         let rows: Vec<Vec<String>> = exp::parallel_scaling(&profile)
             .into_iter()
             .map(|r| {
                 vec![
                     r.threads.to_string(),
-                    ms(r.barrier_ms),
                     ms(r.pipelined_ms),
-                    ms(r.stealing_ms),
                     r.steals.to_string(),
-                    format!("{}KiB", r.barrier_emb_bytes >> 10),
                     format!("{}KiB", r.pipelined_emb_bytes >> 10),
                     r.patterns.to_string(),
                 ]
@@ -216,16 +214,15 @@ fn main() {
         println!(
             "{}",
             render_table(
-                &[
-                    "threads", "barrier", "pipelined", "stealing", "steals", "barrier emb",
-                    "piped emb", "patterns",
-                ],
+                &["threads", "pipelined", "steals", "piped emb", "patterns"],
                 &rows
             )
         );
     }
     if want("governed") {
-        section("Governed runs (beyond the paper) — four engines under one budget on D1000");
+        section(
+            "Governed runs (beyond the paper) — serial and pipelined under one budget on D1000",
+        );
         let rows: Vec<Vec<String>> = exp::governed(&profile, threads, &govern)
             .into_iter()
             .map(|r| {

@@ -399,32 +399,26 @@ mod tests {
     }
 }
 
-/// One row of the parallel-scaling experiment: barrier vs pipelined vs
-/// work-stealing engine at the same thread count.
+/// One row of the parallel-scaling experiment: the pipelined engine at
+/// one requested thread count.
 #[derive(Debug)]
 pub struct ParallelRow {
-    /// Worker thread count.
+    /// Requested worker thread count.
     pub threads: usize,
-    /// Barrier engine (`mine_parallel`) wall-clock time (ms).
-    pub barrier_ms: f64,
     /// Pipelined engine (`mine_pipelined`) wall-clock time (ms).
     pub pipelined_ms: f64,
-    /// Work-stealing engine (`mine_stealing`) wall-clock time (ms).
-    pub stealing_ms: f64,
-    /// Cross-worker steals the stealing engine performed.
+    /// Classes the producer took back from a full channel.
     pub steals: usize,
-    /// Barrier peak resident embedding bytes (all classes at once).
-    pub barrier_emb_bytes: usize,
     /// Pipelined peak resident embedding bytes (channel-bounded).
     pub pipelined_emb_bytes: usize,
-    /// Pattern count (identical across rows and engines).
+    /// Pattern count (identical across rows).
     pub patterns: usize,
 }
 
 /// One row of the governed-run experiment: one engine under a budget.
 #[derive(Debug)]
 pub struct GovernedRow {
-    /// Engine label (`serial`, `barrier`, `pipelined`, `stealing`).
+    /// Engine label (`serial`, `pipelined`).
     pub engine: &'static str,
     /// Wall-clock time (ms) — for partial runs, the time to the stop.
     pub time_ms: f64,
@@ -439,12 +433,12 @@ pub struct GovernedRow {
     pub abandoned: usize,
 }
 
-/// Beyond the paper: budget-bounded mining on D1000 at θ = 0.2. All four
-/// engines run under the same [`GovernOptions`]; each row reports the
-/// truthful [`taxogram_core::Termination`] alongside how much of the
-/// result stream survived. With an unlimited budget this doubles as a
-/// smoke test that governance is invisible: every engine must complete
-/// with zero abandoned classes and identical pattern counts.
+/// Beyond the paper: budget-bounded mining on D1000 at θ = 0.2. Both
+/// in-memory engines run under the same [`GovernOptions`]; each row
+/// reports the truthful [`taxogram_core::Termination`] alongside how much
+/// of the result stream survived. With an unlimited budget this doubles
+/// as a smoke test that governance is invisible: every engine must
+/// complete with zero abandoned classes and identical pattern counts.
 pub fn governed(profile: &Profile, threads: usize, govern: &GovernOptions) -> Vec<GovernedRow> {
     let ds = build(DatasetId::D(1000), profile.scale);
     let mut cfg = TaxogramConfig::with_threshold(THETA);
@@ -467,13 +461,6 @@ pub fn governed(profile: &Profile, threads: usize, govern: &GovernOptions) -> Ve
             }),
         ),
         row(
-            "barrier",
-            time_ms(|| {
-                taxogram_core::mine_parallel_governed(&cfg, &ds.database, &ds.taxonomy, threads, govern)
-                    .expect("valid input")
-            }),
-        ),
-        row(
             "pipelined",
             time_ms(|| {
                 taxogram_core::mine_pipelined_governed(
@@ -486,34 +473,14 @@ pub fn governed(profile: &Profile, threads: usize, govern: &GovernOptions) -> Ve
                 .expect("valid input")
             }),
         ),
-        row(
-            "stealing",
-            time_ms(|| {
-                taxogram_core::mine_stealing_governed(
-                    &cfg,
-                    &ds.database,
-                    &ds.taxonomy,
-                    taxogram_core::StealOptions {
-                        threads,
-                        deque_capacity: 0,
-                        clamp_to_cores: false,
-                    },
-                    govern,
-                )
-                .expect("valid input")
-            }),
-        ),
     ]
 }
 
-/// Beyond the paper: Step 3 thread scaling on the D3000 dataset at
-/// θ = 0.2 (the shared-memory half of the paper's "disk-based algorithms"
-/// future work; see also the two-pass partitioned miner in
-/// `taxogram_core::son`). Each row runs all three parallel engines: the
-/// collect-all barrier, the streaming pipeline, and the fused
-/// work-stealing search. Thread counts are honored even on smaller hosts
-/// (`clamp_to_cores` off) so the scheduling machinery is always the thing
-/// being measured.
+/// Beyond the paper: thread scaling of the pipelined engine on the D3000
+/// dataset at θ = 0.2 (the shared-memory half of the paper's
+/// "disk-based algorithms" future work; the out-of-core half is the
+/// sharded miner, `taxogram_core::shard`). The engine clamps the
+/// requested thread count to the host's cores.
 pub fn parallel_scaling(profile: &Profile) -> Vec<ParallelRow> {
     let ds = build(DatasetId::D(3000), profile.scale);
     let mut cfg = TaxogramConfig::with_threshold(THETA);
@@ -521,36 +488,14 @@ pub fn parallel_scaling(profile: &Profile) -> Vec<ParallelRow> {
     [1usize, 2, 4, 8]
         .into_iter()
         .map(|threads| {
-            let (b, t_barrier) = time_ms(|| {
-                taxogram_core::mine_parallel(&cfg, &ds.database, &ds.taxonomy, threads)
-                    .expect("valid input")
-            });
             let (p, t_piped) = time_ms(|| {
                 taxogram_core::mine_pipelined(&cfg, &ds.database, &ds.taxonomy, threads)
                     .expect("valid input")
             });
-            let (s, t_steal) = time_ms(|| {
-                taxogram_core::mine_stealing_with(
-                    &cfg,
-                    &ds.database,
-                    &ds.taxonomy,
-                    taxogram_core::StealOptions {
-                        threads,
-                        deque_capacity: 0,
-                        clamp_to_cores: false,
-                    },
-                )
-                .expect("valid input")
-            });
-            assert_eq!(b.patterns.len(), p.patterns.len(), "engines agree");
-            assert_eq!(p.patterns.len(), s.patterns.len(), "stealing agrees");
             ParallelRow {
                 threads,
-                barrier_ms: t_barrier,
                 pipelined_ms: t_piped,
-                stealing_ms: t_steal,
-                steals: s.stats.steals,
-                barrier_emb_bytes: b.stats.peak_embedding_bytes,
+                steals: p.stats.steals,
                 pipelined_emb_bytes: p.stats.peak_embedding_bytes,
                 patterns: p.patterns.len(),
             }

@@ -11,7 +11,7 @@
 //!
 //! * **`--cfg tsg_model` builds** — the same names resolve to
 //!   instrumented wrappers backed by a deterministic scheduler
-//!   ([`model::Checker`]): cooperative virtual threads serialized on a
+//!   (`model::Checker`): cooperative virtual threads serialized on a
 //!   baton, bounded-exhaustive DFS over interleavings with a preemption
 //!   bound (CHESS-style), seeded-random schedules beyond the bound, a
 //!   vector-clock data-race detector over atomic/lock accesses, and

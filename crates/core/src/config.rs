@@ -71,10 +71,8 @@ pub struct TaxogramConfig {
     /// Enhancement toggles.
     pub enhancements: Enhancements,
     /// Emit over-generalized patterns too (skipping the paper's
-    /// minimality filter). Needed by the two-pass partitioned miner
-    /// ([`crate::son`]): a pattern can be locally over-generalized in
-    /// every partition yet globally minimal, so partition-local mining
-    /// must keep everything frequent. Off by default.
+    /// minimality filter), i.e. every generalized-frequent pattern.
+    /// Off by default.
     pub keep_overgeneralized: bool,
 }
 

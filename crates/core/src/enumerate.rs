@@ -152,7 +152,7 @@ pub fn enumerate_class<F: FnMut(EmittedPattern<'_>)>(
 }
 
 /// Like [`enumerate_class`], with `keep_overgeneralized` also emitting the
-/// patterns the minimality filter would drop (used by [`crate::son`]).
+/// patterns the minimality filter would drop.
 #[allow(clippy::too_many_arguments)]
 pub fn enumerate_class_full<F: FnMut(EmittedPattern<'_>)>(
     skeleton: &LabeledGraph,

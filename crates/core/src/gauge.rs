@@ -57,18 +57,6 @@ impl MemoryGauge {
     }
 }
 
-/// The work-stealing search reports task embedding residency through this
-/// hook, making `peak_embedding_bytes` a true high-water mark of bytes
-/// held by queued-or-running search tasks.
-impl tsg_gspan::TaskGauge for MemoryGauge {
-    fn task_enqueued(&self, bytes: usize) {
-        self.add(bytes);
-    }
-    fn task_dequeued(&self, bytes: usize) {
-        self.sub(bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

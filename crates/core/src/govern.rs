@@ -20,25 +20,21 @@
 //! # Poll points and the determinism contract
 //!
 //! Every engine gates **class admission** through [`Governor::admit_class`]
-//! at its [`PatternSink::report`](tsg_gspan::PatternSink::report) call —
-//! once per pattern class, before any Step 2/3 work for that class starts.
-//! A rejected admission makes the sink return
-//! [`Grow::Stop`](tsg_gspan::Grow::Stop), which unwinds the gSpan search
-//! (serial) or halts the scheduler (work-stealing) within one task.
+//! once per pattern class, before any Step 3 work for that class starts:
+//! the serial and pipelined engines at their
+//! [`PatternSink::report`](tsg_gspan::PatternSink::report) call, the
+//! sharded miner before each Pass 2b class. A rejected admission makes
+//! the sink return [`Grow::Stop`](tsg_gspan::Grow::Stop), which unwinds
+//! the gSpan search, or ends the sharded miner's Pass 2b loop.
 //! Classes already admitted are always finished — budgets never tear a
 //! class in half — so an early stop can overshoot each budget by at most
 //! the classes in flight (1 for the serial engines, ≤ threads + channel
 //! capacity for the parallel ones).
 //!
-//! The serial, barrier, and pipelined engines admit classes in serial
-//! (canonical pre-order) class order, so stopping after `N` admissions
-//! yields exactly the first `N` classes' patterns — byte-identical to a
-//! prefix of the full serial output. The work-stealing engine admits in
-//! schedule order; its merge restores the contract by cutting the
-//! completed set at the smallest unfinished DFS code (frontier ∪
-//! rejected), discarding any completed class past the cut (counted as
-//! abandoned). In all four engines the emitted pattern list is a
-//! completed prefix of the serial stream.
+//! Every engine admits classes in serial (canonical pre-order) class
+//! order, so stopping after `N` admissions yields exactly the first `N`
+//! classes' patterns — byte-identical to a prefix of the full serial
+//! output.
 
 use crate::channel::recover;
 use crate::sync::{Arc, AtomicBool, AtomicUsize, Mutex, Ordering};
@@ -406,8 +402,8 @@ impl Governor {
         true
     }
 
-    /// Mid-run poll for non-admission points (e.g. the barrier engine's
-    /// Step 3 workers): checks only the cancel token and the deadline —
+    /// Mid-run poll for non-admission points (e.g. the sharded miner's
+    /// shard claims): checks only the cancel token and the deadline —
     /// the conditions that stay in force after tripping. Deliberately
     /// *not* the stop flag: a budget trip at admission time must not
     /// abandon classes that were already admitted (admitted classes
@@ -428,12 +424,12 @@ impl Governor {
         false
     }
 
-    /// Class-boundary poll for engines whose admission ran before any
-    /// pattern existed (the barrier engine's Step 3 fan-out): the
-    /// [`Self::should_stop`] conditions plus the pattern ceiling, which
-    /// for those engines can only become visible *after* collection.
-    /// Safe at class boundaries only — between classes nothing admitted
-    /// is in flight, so stopping here never tears a class.
+    /// Class-boundary poll, run by the sharded miner's Pass 2b after each
+    /// enumerated class: the [`Self::should_stop`] conditions plus the
+    /// pattern ceiling, so a crossed ceiling ends the run before another
+    /// batch of shard reads starts. Safe at class boundaries only —
+    /// between classes nothing admitted is in flight, so stopping here
+    /// never tears a class.
     pub fn should_stop_class_boundary(&self) -> bool {
         if !self.enabled {
             return false;

@@ -47,14 +47,11 @@ pub mod interest;
 pub mod lemmas;
 mod miner;
 pub mod oi;
-pub mod parallel;
 pub mod pipeline;
 pub mod postprocess;
 pub mod reference;
 pub mod relabel;
 pub mod shard;
-pub mod son;
-pub mod steal;
 
 /// Sync facade: every atomic, lock, condvar, and thread spawn in this
 /// crate's concurrent engines goes through here. In normal builds these
@@ -76,7 +73,6 @@ pub mod model_support {
     pub use crate::channel::Bounded;
     pub use crate::gauge::MemoryGauge;
     pub use crate::govern::Governor;
-    pub use crate::steal::prefix_cut;
 }
 
 pub use config::{Enhancements, TaxogramConfig};
@@ -86,20 +82,9 @@ pub use govern::{
     TerminationReason,
 };
 pub use miner::{MiningResult, MiningStats, Pattern, Taxogram};
-pub use parallel::{mine_parallel, mine_parallel_governed};
-pub use pipeline::{
-    mine_pipelined, mine_pipelined_governed, mine_pipelined_with, PipelineOptions,
-};
-pub use shard::{
-    mine_sharded, mine_sharded_governed, ShardOptions, ShardStats, ShardedOutcome,
-    ShardedSonMiner,
-};
-pub use steal::{mine_stealing, mine_stealing_governed, mine_stealing_with, StealOptions};
+pub use pipeline::{mine_pipelined, mine_pipelined_governed, PipelineOptions};
+#[doc(hidden)]
+pub use pipeline::{mine_pipelined_faulted, PipelineFaults};
+pub use shard::{mine_sharded, mine_sharded_governed, ShardOptions, ShardStats, ShardedOutcome};
 #[doc(hidden)]
 pub use shard::{mine_sharded_faulted, ShardFaults};
-#[doc(hidden)]
-pub use pipeline::{mine_pipelined_faulted, mine_pipelined_governed_faulted, PipelineFaults};
-#[doc(hidden)]
-pub use steal::{mine_stealing_faulted, mine_stealing_governed_faulted};
-#[doc(hidden)]
-pub use tsg_gspan::FaultInjection as SearchFaults;

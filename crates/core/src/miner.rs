@@ -33,14 +33,13 @@ pub struct MiningStats {
     /// Peak approximate heap footprint of *concurrently resident*
     /// occurrence indices, in bytes. Serially one class is resident at a
     /// time (gSpan's depth-first discipline — the paper's Step 2 space
-    /// argument), so this is the largest single index; the parallel and
-    /// pipelined engines track a true high-water mark across workers.
+    /// argument), so this is the largest single index; the pipelined and
+    /// sharded engines track a true high-water mark across workers.
     pub peak_oi_bytes: usize,
     /// Peak heap footprint of pattern-class embedding lists resident at
     /// once, in bytes. Zero for the serial miner (embeddings live only
-    /// inside gSpan's own recursion). The barrier engine holds every
-    /// class across its collect-all barrier, so this is the total; the
-    /// pipelined engine's value is bounded by its channel capacity.
+    /// inside gSpan's own recursion). The pipelined engine's value is
+    /// bounded by its channel capacity.
     pub peak_embedding_bytes: usize,
     /// Total occurrences (embeddings) across classes.
     pub occurrences: usize,
@@ -50,8 +49,11 @@ pub struct MiningStats {
     pub enumerate_ms: f64,
     /// Step 3 counters summed over classes.
     pub enumeration: EnumerationStats,
-    /// Search-tree tasks taken from another worker's deque. Zero for
-    /// every engine except the work-stealing one ([`crate::mine_stealing`]).
+    /// Backpressure steals: queued classes the pipelined engine's gSpan
+    /// producer took back from a full channel and enumerated itself
+    /// instead of blocking ([`crate::mine_pipelined`]). Zero for the
+    /// serial and sharded miners and for the pipelined engine's inline
+    /// single-core path.
     pub steals: usize,
 }
 
@@ -136,7 +138,7 @@ impl Taxogram {
         })
     }
 
-    fn mine_with(
+    pub(crate) fn mine_with(
         &self,
         db: &GraphDatabase,
         taxonomy: &Taxonomy,

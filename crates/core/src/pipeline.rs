@@ -1,13 +1,11 @@
 //! Streaming pipelined mining: Step 2 and Step 3 overlapped.
 //!
-//! The barrier engine ([`crate::mine_parallel`]) runs gSpan to completion,
-//! collecting **every** class's embedding list, before any Step 3 work
-//! starts. That collect-all barrier costs twice: wall-clock (workers idle
-//! while mining runs, the miner idles while workers drain) and memory
-//! (all embedding lists resident at once, forfeiting the paper's Step 2
-//! space argument entirely).
+//! Running gSpan to completion before any Step 3 work starts would cost
+//! twice: wall-clock (workers idle while mining runs, the miner idles
+//! while workers drain) and memory (every class's embedding list resident
+//! at once, forfeiting the paper's Step 2 space argument entirely).
 //!
-//! [`mine_pipelined`] removes the barrier. The gSpan producer pushes each
+//! [`mine_pipelined`] has no such barrier. The gSpan producer pushes each
 //! completed pattern class — skeleton plus embeddings, **moved, not
 //! cloned** via [`tsg_gspan::PatternSink::complete`] — into a bounded
 //! channel the moment its DFS-code subtree closes. A worker pool builds
@@ -49,7 +47,7 @@ use std::panic::AssertUnwindSafe;
 use tsg_gspan::{ClassHandoff, Embedding, GSpan, GSpanConfig, Grow, MinedPattern, PatternSink};
 use tsg_taxonomy::Taxonomy;
 
-/// Tuning knobs for [`mine_pipelined_with`].
+/// Tuning knobs for [`mine_pipelined_governed`].
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineOptions {
     /// Total mining threads: the gSpan producer (which steals Step 3
@@ -82,7 +80,7 @@ impl Default for PipelineOptions {
 /// Deterministic fault injector for the pipelined engine. Test-only
 /// plumbing (driven by `tsg-testkit`); every field defaults to "no
 /// fault", in which case [`mine_pipelined_faulted`] behaves exactly like
-/// [`mine_pipelined_with`].
+/// the unfaulted engine.
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PipelineFaults {
@@ -132,67 +130,42 @@ fn maybe_injected_panic(faults: &PipelineFaults, seq: usize) {
 /// patterns, same order, same supports).
 ///
 /// # Errors
-/// Same conditions as the serial miner.
+/// Same conditions as the serial miner, plus
+/// [`TaxogramError::WorkerPanicked`] if an enumeration thread panicked
+/// (the panic is caught, every thread unwinds cleanly, and the run
+/// surfaces the first panic instead of aborting or deadlocking).
 pub fn mine_pipelined(
     config: &TaxogramConfig,
     db: &GraphDatabase,
     taxonomy: &Taxonomy,
     threads: usize,
 ) -> Result<MiningResult, TaxogramError> {
-    mine_pipelined_with(
+    let options = PipelineOptions {
+        threads,
+        ..PipelineOptions::default()
+    };
+    Ok(mine_pipelined_faulted(
         config,
         db,
         taxonomy,
-        PipelineOptions {
-            threads,
-            channel_capacity: 0,
-            clamp_to_cores: true,
-        },
-    )
+        options,
+        None,
+        PipelineFaults::default(),
+    )?
+    .result)
 }
 
-/// [`mine_pipelined`] with an explicit channel capacity.
+/// [`mine_pipelined`] with explicit [`PipelineOptions`], under
+/// governance: the producer gates class admission (in serial class
+/// order) on `govern`'s cancel token and budget; on an early stop the
+/// channel closes and drains cleanly, every *admitted* class is still
+/// enumerated, and the output is exactly the admitted prefix of the
+/// serial class stream — byte-identical to a prefix of the full serial
+/// output.
 ///
 /// # Errors
-/// Same conditions as the serial miner, plus
-/// [`TaxogramError::WorkerPanicked`] if an enumeration thread panicked
-/// (the panic is caught, every thread unwinds cleanly, and the run
-/// surfaces the first panic instead of aborting or deadlocking).
-pub fn mine_pipelined_with(
-    config: &TaxogramConfig,
-    db: &GraphDatabase,
-    taxonomy: &Taxonomy,
-    options: PipelineOptions,
-) -> Result<MiningResult, TaxogramError> {
-    mine_pipelined_faulted(config, db, taxonomy, options, PipelineFaults::default())
-}
-
-/// [`mine_pipelined_with`] plus the deterministic fault injector.
-/// Test-only plumbing (driven by `tsg-testkit`).
-#[doc(hidden)]
-pub fn mine_pipelined_faulted(
-    config: &TaxogramConfig,
-    db: &GraphDatabase,
-    taxonomy: &Taxonomy,
-    options: PipelineOptions,
-    faults: PipelineFaults,
-) -> Result<MiningResult, TaxogramError> {
-    if options.threads <= 1 {
-        return crate::Taxogram::new(*config).mine(db, taxonomy);
-    }
-    Ok(mine_pipelined_impl(config, db, taxonomy, options, faults, &Governor::disabled())?.result)
-}
-
-/// [`mine_pipelined_with`] under governance: the producer gates class
-/// admission (in serial class order) on `govern`'s cancel token and
-/// budget; on an early stop the channel closes and drains cleanly, every
-/// *admitted* class is still enumerated, and the output is exactly the
-/// admitted prefix of the serial class stream — byte-identical to a
-/// prefix of the full serial output.
-///
-/// # Errors
-/// Same conditions as [`mine_pipelined_with`]; early termination is not
-/// an error.
+/// Same conditions as [`mine_pipelined`]; early termination is not an
+/// error.
 pub fn mine_pipelined_governed(
     config: &TaxogramConfig,
     db: &GraphDatabase,
@@ -200,24 +173,39 @@ pub fn mine_pipelined_governed(
     options: PipelineOptions,
     govern: &GovernOptions,
 ) -> Result<MiningOutcome, TaxogramError> {
-    mine_pipelined_governed_faulted(config, db, taxonomy, options, PipelineFaults::default(), govern)
+    mine_pipelined_faulted(
+        config,
+        db,
+        taxonomy,
+        options,
+        Some(govern),
+        PipelineFaults::default(),
+    )
 }
 
-/// [`mine_pipelined_governed`] plus the deterministic fault injector.
-/// Test-only plumbing (driven by `tsg-testkit`).
+/// The pipelined engine with explicit options, optional governance
+/// (`None` runs ungoverned, exactly as [`mine_pipelined`]) and the
+/// deterministic fault injector. Test-only plumbing (driven by
+/// `tsg-testkit`).
 #[doc(hidden)]
-pub fn mine_pipelined_governed_faulted(
+pub fn mine_pipelined_faulted(
     config: &TaxogramConfig,
     db: &GraphDatabase,
     taxonomy: &Taxonomy,
     options: PipelineOptions,
+    govern: Option<&GovernOptions>,
     faults: PipelineFaults,
-    govern: &GovernOptions,
 ) -> Result<MiningOutcome, TaxogramError> {
+    let governor = govern.map_or_else(Governor::disabled, Governor::new);
     if options.threads <= 1 {
-        return crate::Taxogram::new(*config).mine_governed(db, taxonomy, govern);
+        let (result, termination) =
+            crate::Taxogram::new(*config).mine_with(db, taxonomy, &governor)?;
+        return Ok(MiningOutcome {
+            result,
+            termination,
+        });
     }
-    mine_pipelined_impl(config, db, taxonomy, options, faults, &Governor::new(govern))
+    mine_pipelined_impl(config, db, taxonomy, options, faults, &governor)
 }
 
 fn mine_pipelined_impl(
@@ -266,6 +254,7 @@ fn mine_pipelined_impl(
     let panic_slot: Mutex<Option<String>> = Mutex::new(None);
 
     let mut classes = 0usize;
+    let mut steals = 0usize;
     let mut rejected: Option<String> = None;
     let mut outputs: Vec<(usize, ClassOutput)> = Vec::new();
     thread::scope(|scope| {
@@ -347,6 +336,7 @@ fn mine_pipelined_impl(
             oi_scratch: OiScratch::new(),
             outputs: Vec::new(),
             next_seq: 0,
+            steals: 0,
         };
         // The producer can panic too — the injected class may land on it
         // via a backpressure steal. Catch so the channel still closes:
@@ -362,6 +352,7 @@ fn mine_pipelined_impl(
             .mine(&mut sink);
         }));
         classes = sink.next_seq;
+        steals = sink.steals;
         rejected = sink.rejected.take();
         channel.close();
         if let Err(payload) = mined {
@@ -418,6 +409,7 @@ fn mine_pipelined_impl(
     let mut result = merge_outputs(outputs.into_iter().map(|(_, out)| out), classes, &prepared);
     result.stats.peak_oi_bytes = oi_gauge.peak();
     result.stats.peak_embedding_bytes = emb_gauge.peak();
+    result.stats.steals = steals;
     Ok(MiningOutcome {
         result,
         termination,
@@ -538,6 +530,9 @@ struct PipeSink<'a> {
     oi_scratch: OiScratch,
     outputs: Vec<(usize, ClassOutput)>,
     next_seq: usize,
+    /// Queued classes the producer took back and enumerated itself
+    /// because the channel was full.
+    steals: usize,
 }
 
 impl PipeSink<'_> {
@@ -597,6 +592,7 @@ impl PatternSink for PipeSink<'_> {
         // old try_send/try_recv pairing) the producer cannot spin when
         // workers race it for queue slots.
         if let Some(stolen) = self.channel.send_or_swap(item) {
+            self.steals += 1;
             self.process(stolen);
         }
     }
@@ -783,17 +779,14 @@ mod tests {
         let serial = crate::Taxogram::new(cfg).mine(&db, &t).unwrap();
         // clamp_to_cores off: always exercise the channel machinery,
         // even when the test host has a single core.
-        let piped = mine_pipelined_with(
-            &cfg,
-            &db,
-            &t,
-            PipelineOptions {
-                threads,
-                channel_capacity: capacity,
-                clamp_to_cores: false,
-            },
-        )
-        .unwrap();
+        let options = PipelineOptions {
+            threads,
+            channel_capacity: capacity,
+            clamp_to_cores: false,
+        };
+        let piped = mine_pipelined_faulted(&cfg, &db, &t, options, None, PipelineFaults::default())
+            .unwrap()
+            .result;
         (serial, piped)
     }
 
@@ -830,6 +823,14 @@ mod tests {
         let (serial, piped) = serial_and_pipelined(4, 1);
         assert_identical(&serial, &piped);
         assert!(piped.stats.peak_embedding_bytes > 0);
+        // Each class is taken back from the channel at most once.
+        assert_eq!(serial.stats.steals, 0, "the serial miner never steals");
+        assert!(
+            piped.stats.steals <= piped.stats.classes,
+            "{} steals for {} classes",
+            piped.stats.steals,
+            piped.stats.classes
+        );
     }
 
     #[test]

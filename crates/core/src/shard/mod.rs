@@ -1,9 +1,9 @@
 //! Parallel out-of-core sharded mining — the industrialized SON path
 //! (DESIGN.md §15).
 //!
-//! [`crate::son::mine_partitioned`] proves the two-pass partition
-//! algorithm correct but keeps every partition in memory and runs
-//! serially. This module promotes it into the scale path:
+//! The SON two-pass partition algorithm (Savasere, Omiecinski and
+//! Navathe, VLDB'95), made exact for taxonomy-superimposed patterns and
+//! run out of core:
 //!
 //! 1. **Spill.** The database is split into contiguous graph-id ranges
 //!    and written to disk as length-prefixed binary shard files
@@ -11,7 +11,7 @@
 //!    the way. [`ShardOptions::resident_cap_bytes`] raises the shard
 //!    count until each file fits the cap, so the resident working set is
 //!    one shard per worker regardless of database size.
-//! 2. **Pass 1 — local class discovery** ([`pass1`]): workers claim
+//! 2. **Pass 1 — local class discovery** (`pass1`): workers claim
 //!    shards from a shared counter, each reading its shard back,
 //!    relabeling it, and mining locally frequent pattern *classes* with
 //!    the serial gSpan search. Each (canonical DFS code,
@@ -19,7 +19,7 @@
 //!    reports its local floor `⌈θ·nᵢ⌉`; by the SON pigeonhole the union
 //!    of the classes is a complete candidate superset of the globally
 //!    frequent classes.
-//! 3. **Pass 2a — exact global supports** ([`pass2`]): first, with no
+//! 3. **Pass 2a — exact global supports** (`pass2`): first, with no
 //!    shard read, the partition bound drops every candidate whose known
 //!    local supports plus `⌈θ·nᵢ⌉ − 1` for each unreporting shard cannot
 //!    reach the global floor. The shards are then streamed again and
@@ -34,8 +34,9 @@
 //!    size — so specialization supports, the minimality filter, and the
 //!    emission order are *byte-identical* to the single-pass serial
 //!    miner. (This sidesteps the locally-over-generalized corner of
-//!    [`crate::son`] entirely: class membership is re-derived globally,
-//!    never reconstructed from local verdicts.)
+//!    partitioned mining entirely: a pattern can be over-generalized in
+//!    every shard yet globally minimal, so class membership is re-derived
+//!    globally, never reconstructed from local verdicts.)
 //!
 //! The taxonomy is unified ([`Taxonomy::unify_most_general`]) once per
 //! run, before Pass 1: unification does not depend on the database, so
@@ -167,79 +168,31 @@ pub struct ShardedOutcome {
     pub shard_stats: ShardStats,
 }
 
-/// The sharded out-of-core SON miner. A thin handle around
-/// [`ShardOptions`]; see the module docs for the pass structure.
-#[derive(Clone, Debug, Default)]
-pub struct ShardedSonMiner {
-    options: ShardOptions,
-}
-
-impl ShardedSonMiner {
-    /// A miner with the given sharding options.
-    pub fn new(options: ShardOptions) -> Self {
-        ShardedSonMiner { options }
-    }
-
-    /// Mines `db` over `taxonomy`, spilling shards to disk. Output is
-    /// byte-identical to [`crate::Taxogram::mine`].
-    ///
-    /// # Errors
-    /// Same conditions as the serial miner, plus
-    /// [`TaxogramError::ShardIo`] if a spill file cannot be written or
-    /// read back intact.
-    pub fn mine(
-        &self,
-        config: &TaxogramConfig,
-        db: &GraphDatabase,
-        taxonomy: &Taxonomy,
-    ) -> Result<ShardedOutcome, TaxogramError> {
-        mine_sharded(config, db, taxonomy, &self.options)
-    }
-
-    /// [`ShardedSonMiner::mine`] under governance: budgets and
-    /// cancellation gate Pass 2b class admission in serial class order,
-    /// and shard claims poll the cancel token and deadline, so an early
-    /// stop yields a sound serial-prefix partial result.
-    ///
-    /// # Errors
-    /// Same conditions as [`ShardedSonMiner::mine`]; early termination
-    /// is not an error.
-    pub fn mine_governed(
-        &self,
-        config: &TaxogramConfig,
-        db: &GraphDatabase,
-        taxonomy: &Taxonomy,
-        govern: &GovernOptions,
-    ) -> Result<ShardedOutcome, TaxogramError> {
-        mine_sharded_governed(config, db, taxonomy, &self.options, govern)
-    }
-}
-
-/// Mines `db` sharded out-of-core; see [`ShardedSonMiner::mine`].
+/// Mines `db` over `taxonomy` sharded out-of-core, spilling shards to
+/// disk; see the module docs for the pass structure. Output is
+/// byte-identical to [`crate::Taxogram::mine`].
 ///
 /// # Errors
-/// Same conditions as [`ShardedSonMiner::mine`].
+/// Same conditions as the serial miner, plus
+/// [`TaxogramError::ShardIo`] if a spill file cannot be written or read
+/// back intact.
 pub fn mine_sharded(
     config: &TaxogramConfig,
     db: &GraphDatabase,
     taxonomy: &Taxonomy,
     options: &ShardOptions,
 ) -> Result<ShardedOutcome, TaxogramError> {
-    mine_impl(
-        config,
-        db,
-        taxonomy,
-        options,
-        &Governor::disabled(),
-        &ShardFaults::default(),
-    )
+    mine_sharded_faulted(config, db, taxonomy, options, None, ShardFaults::default())
 }
 
-/// Governed sharded mining; see [`ShardedSonMiner::mine_governed`].
+/// [`mine_sharded`] under governance: budgets and cancellation gate
+/// Pass 2b class admission in serial class order, and shard claims poll
+/// the cancel token and deadline, so an early stop yields a sound
+/// serial-prefix partial result.
 ///
 /// # Errors
-/// Same conditions as [`ShardedSonMiner::mine`]; early termination is
-/// not an error.
+/// Same conditions as [`mine_sharded`]; early termination is not an
+/// error.
 pub fn mine_sharded_governed(
     config: &TaxogramConfig,
     db: &GraphDatabase,
@@ -247,7 +200,14 @@ pub fn mine_sharded_governed(
     options: &ShardOptions,
     govern: &GovernOptions,
 ) -> Result<ShardedOutcome, TaxogramError> {
-    mine_impl(config, db, taxonomy, options, &Governor::new(govern), &ShardFaults::default())
+    mine_sharded_faulted(
+        config,
+        db,
+        taxonomy,
+        options,
+        Some(govern),
+        ShardFaults::default(),
+    )
 }
 
 /// [`mine_sharded`] / [`mine_sharded_governed`] plus the deterministic
@@ -261,10 +221,7 @@ pub fn mine_sharded_faulted(
     govern: Option<&GovernOptions>,
     faults: ShardFaults,
 ) -> Result<ShardedOutcome, TaxogramError> {
-    let governor = match govern {
-        Some(g) => Governor::new(g),
-        None => Governor::disabled(),
-    };
+    let governor = govern.map_or_else(Governor::disabled, Governor::new);
     mine_impl(config, db, taxonomy, options, &governor, &faults)
 }
 

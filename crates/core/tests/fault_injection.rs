@@ -1,8 +1,8 @@
-//! Fault-injection matrix for the parallel engines: injected worker
-//! panics, simulated receiver drops, seeded forced-steal schedules, and
-//! capacity sweeps — all deterministic, all at the acceptance matrix's
-//! thread counts (1/2/4) with deque/channel capacity 1 (maximum
-//! contention).
+//! Fault-injection matrix for the pipelined engine: injected worker
+//! panics, simulated receiver drops, and capacity sweeps — all
+//! deterministic, all at the acceptance matrix's thread counts with
+//! channel capacity 1 (maximum contention). The sharded miner's spill
+//! faults live in `shard_faults.rs`.
 //!
 //! The invariant under every fault: the run *returns* — an
 //! `Err(WorkerPanicked)` when a panic was injected and fired, a
@@ -25,42 +25,11 @@ fn serial(c: &Case) -> MiningResult {
         .unwrap()
 }
 
-/// Panic injected into the `n`th search task of the work-stealing
-/// engine, for every `n` in a prefix sweep: either the task exists and
-/// the run must return the panic as an error, or it does not and the
-/// run must be byte-identical to serial. Threads 1/2/4, capacity 1.
-#[test]
-fn stealing_panic_at_every_early_task_returns_error() {
-    for &seed in &CASE_SEEDS {
-        let c = case(seed);
-        let want = serial(&c);
-        for &threads in &FAULT_THREADS {
-            for n in 1..=8usize {
-                let plan = FaultPlan::shape(threads, 1).panic_at(n);
-                match plan.run_stealing(&c) {
-                    Err(TaxogramError::WorkerPanicked { message }) => {
-                        assert!(
-                            message.contains("injected fault"),
-                            "seed {seed:#x} t={threads} n={n}: unexpected panic: {message}"
-                        );
-                    }
-                    Ok(got) => {
-                        // The injection point lies past the task count;
-                        // the run must be untouched.
-                        assert_engines_identical(&want, &got).unwrap_or_else(|msg| {
-                            panic!("seed {seed:#x} t={threads} n={n}: {msg}")
-                        });
-                    }
-                    Err(e) => panic!("seed {seed:#x} t={threads} n={n}: wrong error {e}"),
-                }
-            }
-        }
-    }
-}
-
-/// Same sweep for the pipelined engine's per-class injection. The
-/// pipeline needs ≥ 2 threads for the channel to exist, so the matrix
-/// starts at 2.
+/// Panic injected into the pipelined engine's `n`th class, for every
+/// `n` in a prefix sweep: either the class exists and the run must
+/// return the panic as an error, or it does not and the run must be
+/// byte-identical to serial. The pipeline needs ≥ 2 threads for the
+/// channel to exist, so the matrix starts at 2.
 #[test]
 fn pipelined_panic_at_every_early_class_returns_error() {
     for &seed in &CASE_SEEDS {
@@ -110,27 +79,8 @@ fn pipelined_receiver_drop_loses_nothing() {
     }
 }
 
-/// Seeded forced-steal schedules perturb task placement as hard as the
-/// scheduler allows; output must not move by a byte.
-#[test]
-fn forced_steal_schedules_preserve_byte_identity() {
-    for &seed in &CASE_SEEDS[..2] {
-        let c = case(seed);
-        let want = serial(&c);
-        for &threads in &FAULT_THREADS {
-            for schedule in [1u64, 7, 42, 0xdead_beef] {
-                let plan = FaultPlan::shape(threads, 1).steal_schedule(schedule);
-                let got = plan.run_stealing(&c).unwrap();
-                assert_engines_identical(&want, &got).unwrap_or_else(|msg| {
-                    panic!("seed {seed:#x} t={threads} schedule={schedule:#x}: {msg}")
-                });
-            }
-        }
-    }
-}
-
-/// Bounded channel/deque capacity sweep: every (threads, capacity) cell
-/// of the clean matrix reproduces serial output exactly.
+/// Bounded channel capacity sweep: every (threads, capacity) cell of the
+/// clean matrix reproduces serial output exactly.
 #[test]
 fn capacity_matrix_is_clean() {
     for &seed in &CASE_SEEDS[..2] {
@@ -138,19 +88,16 @@ fn capacity_matrix_is_clean() {
         let want = serial(&c);
         for &threads in &FAULT_THREADS {
             for &capacity in &FAULT_CAPACITIES {
-                let plan = FaultPlan::shape(threads, capacity);
-                let got = plan.run_stealing(&c).unwrap();
+                let got = FaultPlan::shape(threads, capacity)
+                    .run_pipelined(&c)
+                    .unwrap();
                 assert_engines_identical(&want, &got).unwrap();
-                if threads >= 2 {
-                    let got = plan.run_pipelined(&c).unwrap();
-                    assert_engines_identical(&want, &got).unwrap();
-                }
             }
         }
     }
 }
 
-/// Panic + forced steals + capacity 1 together: the compound worst case
+/// Panic + receiver drop + capacity 1 together: the compound worst case
 /// still terminates with a clean error or untouched output.
 #[test]
 fn compound_faults_terminate_cleanly() {
@@ -158,8 +105,10 @@ fn compound_faults_terminate_cleanly() {
     let want = serial(&c);
     for &threads in &FAULT_THREADS {
         for n in [1usize, 3, 30] {
-            let plan = FaultPlan::shape(threads, 1).panic_at(n).steal_schedule(7);
-            match plan.run_stealing(&c) {
+            let plan = FaultPlan::shape(threads, 1)
+                .panic_at(n)
+                .drop_receiver_after(1);
+            match plan.run_pipelined(&c) {
                 Err(TaxogramError::WorkerPanicked { .. }) => {}
                 Ok(got) => assert_engines_identical(&want, &got).unwrap(),
                 Err(e) => panic!("t={threads} n={n}: wrong error {e}"),

@@ -1,21 +1,20 @@
 //! Governance acceptance matrix: deterministic cancellation triggers and
-//! budget ceilings across all four engines, at the acceptance thread
-//! counts (1/2/4) with capacity 1 (maximum contention).
+//! budget ceilings across the serial, pipelined and sharded engines, at
+//! the acceptance thread counts (1/2/4) with capacity 1 (maximum
+//! contention).
 //!
 //! The invariant under every stop: the run returns `Ok(MiningOutcome)`
 //! whose patterns are a **byte-identical completed prefix** of the full
 //! serial output — no lost, duplicated, or torn classes — and whose
 //! `Termination` is truthful (reason, finished/abandoned arithmetic,
-//! frontier only on early stops). The serially-admitting engines
-//! (serial, barrier, pipelined) additionally stop at the *exact* Nth
-//! class; the work-stealing engine admits in schedule order, so only the
-//! prefix contract and the reason are schedule-independent.
+//! frontier only on early stops). Every engine admits classes in serial
+//! class order, so each also stops at the *exact* Nth class.
 
 use std::time::Duration;
 use taxogram_core::{
-    mine_parallel_governed, mine_sharded_governed, Budget, CancelToken, GovernOptions,
-    MiningOutcome, MiningResult, ShardOptions, ShardedOutcome, Taxogram, TaxogramConfig,
-    TerminationReason,
+    mine_pipelined_governed, mine_sharded_governed, Budget, CancelToken, GovernOptions,
+    MiningOutcome, MiningResult, PipelineOptions, ShardOptions, ShardedOutcome, Taxogram,
+    TaxogramConfig, TerminationReason,
 };
 use tsg_testkit::fault::{assert_completed_prefix, FaultPlan, FAULT_THREADS};
 use tsg_testkit::gen::{case, Case};
@@ -34,10 +33,8 @@ fn serial(c: &Case) -> MiningResult {
 }
 
 /// Cancel at the Nth class, swept over N, threads 1/2/4, capacity 1.
-/// Serial, barrier, and pipelined admit in serial class order, so each
-/// must finish *exactly* min(N, total) classes and emit the
-/// byte-identical prefix; stealing must emit a byte-identical prefix of
-/// at most N classes with a truthful reason.
+/// Serial and pipelined admit in serial class order, so each must finish
+/// *exactly* min(N, total) classes and emit the byte-identical prefix.
 #[test]
 fn cancel_at_nth_class_yields_exact_prefix() {
     for &seed in &CASE_SEEDS {
@@ -57,7 +54,6 @@ fn cancel_at_nth_class_yields_exact_prefix() {
 
                 for (engine, outcome) in [
                     ("serial", plan.run_serial_governed(&c)),
-                    ("barrier", plan.run_barrier_governed(&c)),
                     ("pipelined", plan.run_pipelined_governed(&c)),
                 ] {
                     let outcome = outcome.unwrap_or_else(|e| panic!("{}: {e}", tag(engine)));
@@ -76,27 +72,6 @@ fn cancel_at_nth_class_yields_exact_prefix() {
                         tag(engine)
                     );
                 }
-
-                let outcome = plan
-                    .run_stealing_governed(&c)
-                    .unwrap_or_else(|e| panic!("{}: {e}", tag("stealing")));
-                assert_completed_prefix(&outcome, &full)
-                    .unwrap_or_else(|msg| panic!("{}: {msg}", tag("stealing")));
-                assert!(
-                    outcome.termination.classes_finished <= want_finished.max(n.min(total)),
-                    "{}: finished more classes than were admitted",
-                    tag("stealing")
-                );
-                if n >= total {
-                    assert!(outcome.termination.is_complete(), "{}", tag("stealing"));
-                } else {
-                    assert_eq!(
-                        outcome.termination.reason,
-                        TerminationReason::Cancelled,
-                        "{}",
-                        tag("stealing")
-                    );
-                }
             }
         }
     }
@@ -107,7 +82,6 @@ fn cancel_at_nth_class_yields_exact_prefix() {
 #[test]
 fn partial_results_are_schedule_independent() {
     let c = case(CASE_SEEDS[1]);
-    let full = serial(&c);
     for n in [1usize, 3] {
         let want = FaultPlan::shape(1, 1)
             .cancel_after(n)
@@ -115,24 +89,11 @@ fn partial_results_are_schedule_independent() {
             .unwrap();
         for &threads in &FAULT_THREADS {
             let plan = FaultPlan::shape(threads, 1).cancel_after(n);
-            for outcome in [
-                plan.run_barrier_governed(&c).unwrap(),
-                plan.run_pipelined_governed(&c).unwrap(),
-            ] {
+            for _ in 0..2 {
+                let outcome = plan.run_pipelined_governed(&c).unwrap();
                 assert_engines_identical(&want.result, &outcome.result)
                     .unwrap_or_else(|msg| panic!("t={threads} n={n}: {msg}"));
             }
-            // Stealing's stop *depth* is schedule-dependent (admission
-            // races the workers), so two runs may legally cut at
-            // different lengths — but both must be completed prefixes
-            // of the same serial stream, which makes the shorter one a
-            // byte-prefix of the longer.
-            let a = plan.run_stealing_governed(&c).unwrap();
-            let b = plan.run_stealing_governed(&c).unwrap();
-            assert_completed_prefix(&a, &full)
-                .unwrap_or_else(|msg| panic!("stealing t={threads} n={n}: {msg}"));
-            assert_completed_prefix(&b, &full)
-                .unwrap_or_else(|msg| panic!("stealing t={threads} n={n}: {msg}"));
         }
     }
 }
@@ -152,7 +113,6 @@ fn class_budget_stops_exactly() {
             let plan = FaultPlan::shape(threads, 1).budget_classes(n);
             for outcome in [
                 plan.run_serial_governed(&c).unwrap(),
-                plan.run_barrier_governed(&c).unwrap(),
                 plan.run_pipelined_governed(&c).unwrap(),
             ] {
                 assert_completed_prefix(&outcome, &full).unwrap();
@@ -165,9 +125,6 @@ fn class_budget_stops_exactly() {
                 );
                 assert!(!outcome.termination.frontier.is_empty());
             }
-            let outcome = plan.run_stealing_governed(&c).unwrap();
-            assert_completed_prefix(&outcome, &full).unwrap();
-            assert!(outcome.termination.classes_finished <= n);
         }
     }
 }
@@ -210,54 +167,54 @@ fn pattern_budget_stops_after_crossing_class() {
     assert!(tripped >= 1, "no seed ever tripped the pattern budget");
 }
 
-/// Pattern-count budget on the parallel engines. The stop point is
-/// schedule-dependent (the ceiling is observed by racing workers), but
-/// the contract is not: a byte-identical completed prefix, and a
-/// truthful `Patterns` reason whenever the stream was actually cut. The
-/// barrier engine is the interesting one — it admits every class before
-/// a single pattern exists, so the ceiling can only bind at its Step 3
-/// class-boundary poll.
+/// Pattern-count budget on the pipelined engine. The stop point is
+/// schedule-dependent (the ceiling is observed while workers race the
+/// producer), but the contract is not: a byte-identical completed
+/// prefix, and a truthful `Patterns` reason whenever the stream was
+/// actually cut.
 #[test]
 fn pattern_budget_binds_on_every_parallel_engine() {
     let c = case(23); // 5 classes / 8 patterns: ceiling 1 cuts early
     let full = serial(&c);
     for &threads in &FAULT_THREADS {
-        let plan = FaultPlan::shape(threads, 1).budget_patterns(1);
-        for (engine, outcome) in [
-            ("barrier", plan.run_barrier_governed(&c)),
-            ("pipelined", plan.run_pipelined_governed(&c)),
-            ("stealing", plan.run_stealing_governed(&c)),
-        ] {
-            let outcome = outcome.unwrap();
-            let tag = format!("{engine} t={threads}");
-            assert_completed_prefix(&outcome, &full)
-                .unwrap_or_else(|msg| panic!("{tag}: {msg}"));
-            // With >1 worker, admission can legally outrun pattern
-            // accumulation and complete the run; the barrier engine
-            // cannot (its last Step 3 claim requires a poll after some
-            // class already finished), and one worker is deterministic
-            // on every engine. Wherever a cut happened — or had to —
-            // the reason must name the pattern ceiling.
-            let must_cut = threads == 1 || engine == "barrier";
-            if must_cut {
-                assert!(
-                    outcome.result.patterns.len() < full.patterns.len(),
-                    "{tag}: ceiling 1 of {} patterns must cut the stream",
-                    full.patterns.len()
-                );
-            }
-            if !outcome.termination.is_complete() {
-                assert_eq!(
-                    outcome.termination.reason,
-                    TerminationReason::BudgetExceeded {
-                        which: taxogram_core::BudgetKind::Patterns
-                    },
-                    "{tag}"
-                );
-            } else {
-                assert!(!must_cut, "{tag}: complete run where a cut was mandatory");
-            }
+        let outcome = FaultPlan::shape(threads, 1)
+            .budget_patterns(1)
+            .run_pipelined_governed(&c)
+            .unwrap();
+        let tag = format!("pipelined t={threads}");
+        assert_completed_prefix(&outcome, &full).unwrap_or_else(|msg| panic!("{tag}: {msg}"));
+        // With >1 worker, admission can legally outrun pattern
+        // accumulation and complete the run; one worker is
+        // deterministic. Wherever a cut happened — or had to — the
+        // reason must name the pattern ceiling.
+        let must_cut = threads == 1;
+        if must_cut {
+            assert!(
+                outcome.result.patterns.len() < full.patterns.len(),
+                "{tag}: ceiling 1 of {} patterns must cut the stream",
+                full.patterns.len()
+            );
         }
+        if !outcome.termination.is_complete() {
+            assert_eq!(
+                outcome.termination.reason,
+                TerminationReason::BudgetExceeded {
+                    which: taxogram_core::BudgetKind::Patterns
+                },
+                "{tag}"
+            );
+        } else {
+            assert!(!must_cut, "{tag}: complete run where a cut was mandatory");
+        }
+    }
+}
+
+/// Pipelined options that force the channel machinery at capacity 1.
+fn forced_channel(threads: usize) -> PipelineOptions {
+    PipelineOptions {
+        threads,
+        channel_capacity: 1,
+        clamp_to_cores: false,
     }
 }
 
@@ -274,31 +231,8 @@ fn pre_cancelled_token_yields_empty_cancelled_outcome() {
         Taxogram::new(config(&c))
             .mine_governed(&c.db, &c.taxonomy, &govern)
             .unwrap(),
-        mine_parallel_governed(&config(&c), &c.db, &c.taxonomy, 2, &govern).unwrap(),
-        taxogram_core::mine_pipelined_governed(
-            &config(&c),
-            &c.db,
-            &c.taxonomy,
-            taxogram_core::PipelineOptions {
-                threads: 2,
-                channel_capacity: 1,
-                clamp_to_cores: false,
-            },
-            &govern,
-        )
-        .unwrap(),
-        taxogram_core::mine_stealing_governed(
-            &config(&c),
-            &c.db,
-            &c.taxonomy,
-            taxogram_core::StealOptions {
-                threads: 2,
-                deque_capacity: 1,
-                clamp_to_cores: false,
-            },
-            &govern,
-        )
-        .unwrap(),
+        mine_pipelined_governed(&config(&c), &c.db, &c.taxonomy, forced_channel(2), &govern)
+            .unwrap(),
     ];
     for outcome in outcomes {
         assert!(outcome.result.patterns.is_empty());
@@ -321,21 +255,12 @@ fn zero_deadline_stops_immediately() {
         serial_outcome.termination.reason,
         TerminationReason::DeadlineExceeded
     );
-    let stealing = taxogram_core::mine_stealing_governed(
-        &config(&c),
-        &c.db,
-        &c.taxonomy,
-        taxogram_core::StealOptions {
-            threads: 4,
-            deque_capacity: 1,
-            clamp_to_cores: false,
-        },
-        &govern,
-    )
-    .unwrap();
-    assert!(stealing.result.patterns.is_empty());
+    let pipelined =
+        mine_pipelined_governed(&config(&c), &c.db, &c.taxonomy, forced_channel(4), &govern)
+            .unwrap();
+    assert!(pipelined.result.patterns.is_empty());
     assert_eq!(
-        stealing.termination.reason,
+        pipelined.termination.reason,
         TerminationReason::DeadlineExceeded
     );
 }
@@ -374,9 +299,7 @@ fn unlimited_governance_is_invisible() {
             let plan = FaultPlan::shape(threads, 1);
             for (engine, outcome) in [
                 ("serial", plan.run_serial_governed(&c)),
-                ("barrier", plan.run_barrier_governed(&c)),
                 ("pipelined", plan.run_pipelined_governed(&c)),
-                ("stealing", plan.run_stealing_governed(&c)),
             ] {
                 let outcome = outcome.unwrap();
                 assert!(
@@ -553,8 +476,8 @@ fn sharded_unlimited_governance_is_invisible() {
 }
 
 /// Governance composed with injected faults: a cancel trigger and a
-/// forced-steal schedule together still yield a clean prefix or a clean
-/// panic error — never a hang, a torn class, or a silent loss.
+/// receiver that drops mid-stream together still yield a clean prefix
+/// — never a hang, a torn class, or a silent loss.
 #[test]
 fn governance_composes_with_fault_injection() {
     let c = case(CASE_SEEDS[3]);
@@ -563,8 +486,8 @@ fn governance_composes_with_fault_injection() {
         for n in [1usize, 3] {
             let plan = FaultPlan::shape(threads, 1)
                 .cancel_after(n)
-                .steal_schedule(7);
-            let outcome = plan.run_stealing_governed(&c).unwrap();
+                .drop_receiver_after(1);
+            let outcome = plan.run_pipelined_governed(&c).unwrap();
             assert_completed_prefix(&outcome, &full).unwrap();
         }
     }

@@ -1,6 +1,7 @@
 //! The full metamorphic sweep: every relation in
-//! [`tsg_testkit::metamorphic`] against every engine (serial, barrier,
-//! pipelined, work-stealing) on seeded random inputs.
+//! [`tsg_testkit::metamorphic`] against every engine (serial and
+//! pipelined; relation 9 covers the sharded miner) on seeded random
+//! inputs.
 //!
 //! Case count defaults to 256 per relation (the acceptance floor) and
 //! honors `PROPTEST_CASES`; all cases derive from the fixed base seed
@@ -117,9 +118,9 @@ fn shard_count_never_changes_the_output() {
 
 #[test]
 fn sharding_survives_the_locally_overgeneralized_corner() {
-    // The corner that breaks naive partition merging (documented on
-    // `son::mine_partitioned`): with taxonomy 0 > 1 and partitions
-    // {1—1} and {0—0}, each half mined alone at θ=1.0 reports a
+    // The corner that breaks naive partition merging (see the sharded
+    // miner's module docs, `taxogram_core::shard`): with taxonomy 0 > 1
+    // and shards {1—1} and {0—0}, each half mined alone at θ=1.0 reports a
     // *different* most-general pattern — the first shard never sees the
     // label-0 graph, so 1—1 is locally minimal there. The sharded miner
     // must still converge on the single global answer 0—0 with support

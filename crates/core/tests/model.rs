@@ -10,7 +10,7 @@
 //! and a deadlock, lost wakeup, or Relaxed-ordering race anywhere in the
 //! exercised code fails the test with a replayable schedule.
 //!
-//! The five contracts mirror the invariants the engines' correctness
+//! The four contracts mirror the invariants the engines' correctness
 //! arguments lean on (see DESIGN.md §12):
 //!
 //! 1. closing the channel on the producer's panic path never strands a
@@ -21,9 +21,7 @@
 //!    budget under racing workers;
 //! 4. the memory gauge balances back to zero when classes are abandoned
 //!    mid-run (asserted here for real — the engines only
-//!    `debug_assert` it);
-//! 5. the stealing merge's prefix cut keeps exactly the classes below
-//!    the smallest unfinished code, whatever order admission raced in.
+//!    `debug_assert` it).
 //!
 //! The `replays_bit_for_bit` tests pin three fault-injection scenarios
 //! from the testkit matrix to *named deterministic schedules*: the same
@@ -34,7 +32,7 @@
 
 use std::panic::AssertUnwindSafe;
 
-use taxogram_core::model_support::{prefix_cut, Bounded, Governor, MemoryGauge};
+use taxogram_core::model_support::{Bounded, Governor, MemoryGauge};
 use taxogram_core::sync::thread;
 use taxogram_core::sync::{Arc, AtomicUsize, Mutex, Ordering};
 use taxogram_core::{Budget, GovernOptions};
@@ -167,8 +165,8 @@ fn governor_cas_admits_exactly_the_class_budget() {
 
 /// Contract 4: the gauge balances back to zero when classes are
 /// abandoned — workers release every reservation they took, even for
-/// classes they never enumerated (the stealing engine's
-/// `drain_leftovers` path). The engines only `debug_assert_eq!` this;
+/// classes they never enumerated (the pipeline's post-close drain
+/// path). The engines only `debug_assert_eq!` this;
 /// here it is a hard assertion on every interleaving, and the peak must
 /// land between the largest single reservation and the sum.
 #[test]
@@ -193,71 +191,6 @@ fn gauge_balances_to_zero_on_abandoned_classes() {
             (100..=150).contains(&peak),
             "peak {peak} outside [max single, sum]"
         );
-    });
-    assert_coverage(&report);
-    report.assert_race_free();
-}
-
-/// Contract 5: the stealing merge's prefix cut is sound under racing
-/// admission. Two workers claim classes off a shared cursor (exactly
-/// the engines' Relaxed ticket idiom) and race a class-budget governor;
-/// whatever order admission lands in, the cut keeps precisely the
-/// contiguous prefix of classes below the smallest rejected one, and no
-/// class is duplicated or lost across the kept/unfinished partition.
-#[test]
-fn prefix_cut_is_sound_under_racing_admission() {
-    const CLASSES: usize = 5;
-    let report = Checker::new().check(|| {
-        let gov = Arc::new(Governor::new(&GovernOptions::with_budget(
-            Budget::unlimited().max_classes(3),
-        )));
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let outputs = Arc::new(Mutex::new(Vec::new()));
-        let unfinished = Arc::new(Mutex::new(Vec::new()));
-        let worker = |gov: Arc<Governor>,
-                      cursor: Arc<AtomicUsize>,
-                      outputs: Arc<Mutex<Vec<(usize, ())>>>,
-                      unfinished: Arc<Mutex<Vec<usize>>>| {
-            move || loop {
-                let key = cursor.fetch_add(1, Ordering::Relaxed);
-                if key >= CLASSES {
-                    break;
-                }
-                if gov.admit_class(0) {
-                    outputs.lock().expect("unpoisoned").push((key, ()));
-                } else {
-                    unfinished.lock().expect("unpoisoned").push(key);
-                }
-            }
-        };
-        let spawned = thread::spawn(worker(
-            Arc::clone(&gov),
-            Arc::clone(&cursor),
-            Arc::clone(&outputs),
-            Arc::clone(&unfinished),
-        ));
-        worker(
-            Arc::clone(&gov),
-            Arc::clone(&cursor),
-            Arc::clone(&outputs),
-            Arc::clone(&unfinished),
-        )();
-        spawned.join().expect("worker exits cleanly");
-
-        let mut outputs = std::mem::take(&mut *outputs.lock().expect("unpoisoned"));
-        let mut unfinished = std::mem::take(&mut *unfinished.lock().expect("unpoisoned"));
-        outputs.sort_by(|(a, _), (b, _)| a.cmp(b));
-        prefix_cut(&mut outputs, &mut unfinished, |a, b| a.cmp(b));
-
-        // Kept classes form the exact contiguous prefix below the cut…
-        let kept: Vec<usize> = outputs.iter().map(|(k, ())| *k).collect();
-        assert_eq!(kept, (0..kept.len()).collect::<Vec<_>>());
-        assert!(kept.len() <= 3, "cannot keep more than the budget");
-        // …and the partition is exhaustive and duplicate-free.
-        let mut all = kept;
-        all.extend(&unfinished);
-        all.sort_unstable();
-        assert_eq!(all, (0..CLASSES).collect::<Vec<_>>());
     });
     assert_coverage(&report);
     report.assert_race_free();
@@ -333,11 +266,11 @@ fn receiver_drop_mid_stream_replays_bit_for_bit() {
     assert_eq!(first, second, "same schedule, same event log");
 }
 
-/// Scenario: a worker panics at the Nth claimed task (testkit
-/// `panic_at_task` fault). Tickets come off the engines' Relaxed
-/// cursor; the surviving worker finishes its share, and the panic
-/// propagates through `join` exactly like `SearchPanicked` does.
-fn panic_at_nth_steal_scenario(log: &Mutex<Vec<String>>) {
+/// Scenario: a worker panics at the Nth claimed ticket. Tickets come
+/// off a Relaxed cursor (the shard scan's claim idiom); the surviving
+/// worker finishes its share, and the panic propagates through `join`,
+/// where the engines turn it into `WorkerPanicked`.
+fn panic_at_nth_claim_scenario(log: &Mutex<Vec<String>>) {
     const PANIC_AT: usize = 2;
     let cursor = Arc::new(AtomicUsize::new(0));
     let faulty = {
@@ -347,7 +280,7 @@ fn panic_at_nth_steal_scenario(log: &Mutex<Vec<String>>) {
             if ticket >= 4 {
                 break;
             }
-            assert_ne!(ticket, PANIC_AT, "injected: panic at steal {PANIC_AT}");
+            assert_ne!(ticket, PANIC_AT, "injected: panic at claim {PANIC_AT}");
         })
     };
     loop {
@@ -364,10 +297,10 @@ fn panic_at_nth_steal_scenario(log: &Mutex<Vec<String>>) {
 }
 
 #[test]
-fn panic_at_nth_steal_replays_bit_for_bit() {
-    const SCHEDULE: &[usize] = tsg_testkit::schedules::PANIC_AT_NTH_STEAL;
-    let first = replay_logged(SCHEDULE, panic_at_nth_steal_scenario);
-    let second = replay_logged(SCHEDULE, panic_at_nth_steal_scenario);
+fn panic_at_nth_claim_replays_bit_for_bit() {
+    const SCHEDULE: &[usize] = tsg_testkit::schedules::PANIC_AT_NTH_CLAIM;
+    let first = replay_logged(SCHEDULE, panic_at_nth_claim_scenario);
+    let second = replay_logged(SCHEDULE, panic_at_nth_claim_scenario);
     assert!(!first.is_empty(), "scenario logged nothing");
     assert_eq!(first, second, "same schedule, same event log");
 }

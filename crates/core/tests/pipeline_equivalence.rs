@@ -1,12 +1,12 @@
-//! Serial equivalence of the parallel engines: on random small inputs,
-//! the streaming pipelined miner (and the barrier miner it supersedes)
-//! must reproduce the serial result *exactly* — same patterns, same
-//! order, same supports — at every thread count. The reorder buffer is
-//! what makes this hold for the pipeline; these tests are its contract.
+//! Serial equivalence of the pipelined engine: on random small inputs,
+//! the streaming pipelined miner must reproduce the serial result
+//! *exactly* — same patterns, same order, same supports — at every
+//! thread count. The reorder buffer is what makes this hold; these tests
+//! are its contract.
 
 use proptest::prelude::*;
 use taxogram_core::{
-    mine_parallel, mine_pipelined_with, MiningResult, PipelineOptions, Taxogram, TaxogramConfig,
+    mine_pipelined_faulted, MiningResult, PipelineFaults, PipelineOptions, Taxogram, TaxogramConfig,
 };
 use tsg_graph::GraphDatabase;
 use tsg_taxonomy::Taxonomy;
@@ -16,6 +16,18 @@ use tsg_taxonomy::Taxonomy;
 /// generators.
 fn arb_input() -> impl Strategy<Value = (Taxonomy, GraphDatabase)> {
     tsg_testkit::gen::arb_input_sized(6, 5, 5)
+}
+
+/// The pipelined engine, ungoverned and unfaulted, with explicit options.
+fn pipelined(
+    cfg: &TaxogramConfig,
+    db: &GraphDatabase,
+    taxonomy: &Taxonomy,
+    options: PipelineOptions,
+) -> MiningResult {
+    mine_pipelined_faulted(cfg, db, taxonomy, options, None, PipelineFaults::default())
+        .unwrap()
+        .result
 }
 
 /// Patterns, order, and supports must all match — not just as sets.
@@ -53,13 +65,12 @@ proptest! {
         for threads in [1usize, 2, 8] {
             // clamp_to_cores off: the reorder buffer must be exercised
             // regardless of how many cores the test host has.
-            let piped = mine_pipelined_with(
+            let piped = pipelined(
                 &cfg,
                 &db,
                 &taxonomy,
                 PipelineOptions { threads, channel_capacity: 0, clamp_to_cores: false },
-            )
-            .unwrap();
+            );
             assert_streams_identical(&serial, &piped, &format!("pipelined t={threads}"));
         }
     }
@@ -72,26 +83,12 @@ proptest! {
         // ordering bug in the reorder buffer shows up here first.
         let cfg = TaxogramConfig::with_threshold(0.4).max_edges(3);
         let serial = Taxogram::new(cfg).mine(&db, &taxonomy).unwrap();
-        let piped = mine_pipelined_with(
+        let piped = pipelined(
             &cfg,
             &db,
             &taxonomy,
             PipelineOptions { threads: 4, channel_capacity: 1, clamp_to_cores: false },
-        )
-        .unwrap();
+        );
         assert_streams_identical(&serial, &piped, "pipelined cap=1");
-    }
-
-    #[test]
-    fn barrier_equals_serial(
-        (taxonomy, db) in arb_input(),
-        theta in prop::sample::select(vec![1.0f64, 0.5, 0.3]),
-    ) {
-        let cfg = TaxogramConfig::with_threshold(theta).max_edges(3);
-        let serial = Taxogram::new(cfg).mine(&db, &taxonomy).unwrap();
-        for threads in [2usize, 4] {
-            let barrier = mine_parallel(&cfg, &db, &taxonomy, threads).unwrap();
-            assert_streams_identical(&serial, &barrier, &format!("barrier t={threads}"));
-        }
     }
 }

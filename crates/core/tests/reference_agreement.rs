@@ -111,28 +111,6 @@ fn multi_root_random_case() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The two-pass partitioned miner (the paper's "disk-based" future
-    /// work, SON-style) must produce exactly the single-pass result on
-    /// random inputs and partitionings.
-    #[test]
-    fn son_agreement((taxonomy, db) in arb_input(), chunks in 1usize..4) {
-        let cfg = TaxogramConfig::with_threshold(0.5).max_edges(3);
-        let single = Taxogram::new(cfg).mine(&db, &taxonomy).unwrap();
-        let parts = taxogram_core::son::partition(&db, chunks);
-        let two_pass = taxogram_core::son::mine_partitioned(&cfg, &parts, &taxonomy).unwrap();
-        prop_assert_eq!(single.patterns.len(), two_pass.patterns.len());
-        for p in &single.patterns {
-            let hit = two_pass.patterns.iter().find(|q| {
-                q.support_count == p.support_count && tsg_iso::is_isomorphic(&p.graph, &q.graph)
-            });
-            prop_assert!(hit.is_some(), "two-pass missing {:?}", p.graph.labels());
-        }
-    }
-}
-
 /// A random connected directed graph over the taxonomy's concepts.
 fn arb_digraph(concepts: usize, max_nodes: usize) -> impl Strategy<Value = LabeledGraph> {
     (2..=max_nodes)

@@ -1,6 +1,6 @@
 //! Property tests for the per-step support modules on seeded
-//! [`tsg_testkit`] inputs: Step 1 relabeling (`relabel`), the SON-style
-//! two-pass partitioned miner (`son`), and the Srikant–Agrawal
+//! [`tsg_testkit`] inputs: Step 1 relabeling (`relabel`), the sharded
+//! SON miner's run-level counters (`shard`), and the Srikant–Agrawal
 //! R-interestingness filter (`interest`).
 //!
 //! The full-pipeline agreement suites already exercise these modules
@@ -9,8 +9,7 @@
 
 use taxogram_core::interest::{r_interesting, score_pattern};
 use taxogram_core::relabel::relabel;
-use taxogram_core::son::{mine_partitioned, partition};
-use taxogram_core::{Taxogram, TaxogramConfig};
+use taxogram_core::{mine_sharded, ShardOptions, Taxogram, TaxogramConfig};
 use tsg_testkit::gen::{case_count, cases, Case};
 use tsg_testkit::metamorphic::MAX_EDGES;
 
@@ -79,75 +78,37 @@ fn relabel_is_idempotent() {
     });
 }
 
-// -------------------------------------------------------------------- son
+// ------------------------------------------------------------------ shard
 
-/// `partition(db, k)` is an ordered disjoint cover: concatenating the
-/// chunks reproduces the database's graphs exactly, in order, for every
-/// chunk count (including k larger than the database).
+/// The sharded miner reports the *global* support floor and database
+/// size at every shard count, never a shard's local ones. (Pattern
+/// byte-identity is metamorphic relation 9; this pins the run-level
+/// fields that relation does not compare.)
 #[test]
-fn partition_concatenates_back_to_the_database() {
-    sweep("son/partition-cover", |c| {
-        for k in 1..=c.db.len() + 2 {
-            let parts = partition(&c.db, k);
-            let flat: Vec<_> = parts.iter().flat_map(|p| p.graphs().iter()).collect();
-            if flat.len() != c.db.len() {
-                return Err(format!("k={k}: {} graphs of {}", flat.len(), c.db.len()));
-            }
-            for (i, g) in flat.into_iter().enumerate() {
-                if g.labels() != c.db[i].labels() || g.edges() != c.db[i].edges() {
-                    return Err(format!("k={k}: graph {i} altered by partitioning"));
-                }
-            }
-        }
-        Ok(())
-    });
-}
-
-/// The SON two-pass result equals the single-pass miner for every
-/// partitioning — same patterns (up to isomorphism), same supports, same
-/// global support floor — even with empty partitions interleaved.
-#[test]
-fn partitioned_mining_equals_single_pass() {
-    sweep("son/agreement", |c| {
+fn sharded_mining_reports_the_global_support_floor() {
+    sweep("shard/global-floor", |c| {
         let single = Taxogram::new(config(c))
             .mine(&c.db, &c.taxonomy)
             .map_err(|e| e.to_string())?;
-        for k in [1usize, 2, 3] {
-            let mut parts = partition(&c.db, k);
-            // Empty partitions are legal input and must not perturb counts.
-            parts.push(tsg_graph::GraphDatabase::from_graphs(vec![]));
-            let two_pass =
-                mine_partitioned(&config(c), &parts, &c.taxonomy).map_err(|e| e.to_string())?;
-            if two_pass.min_support_count != single.min_support_count {
+        for shards in [1usize, 2, 3] {
+            let options = ShardOptions {
+                shards,
+                ..ShardOptions::default()
+            };
+            let sharded = mine_sharded(&config(c), &c.db, &c.taxonomy, &options)
+                .map_err(|e| e.to_string())?
+                .result;
+            if sharded.min_support_count != single.min_support_count {
                 return Err(format!(
-                    "k={k}: support floor {} vs {}",
-                    two_pass.min_support_count, single.min_support_count
+                    "P={shards}: support floor {} vs {}",
+                    sharded.min_support_count, single.min_support_count
                 ));
             }
-            if two_pass.patterns.len() != single.patterns.len() {
+            if sharded.database_size != single.database_size {
                 return Err(format!(
-                    "k={k}: {} patterns vs {}",
-                    two_pass.patterns.len(),
-                    single.patterns.len()
+                    "P={shards}: database size {} vs {}",
+                    sharded.database_size, single.database_size
                 ));
-            }
-            let mut used = vec![false; two_pass.patterns.len()];
-            for p in &single.patterns {
-                let hit = two_pass.patterns.iter().enumerate().find(|(i, q)| {
-                    !used[*i]
-                        && q.support_count == p.support_count
-                        && tsg_iso::is_isomorphic(&q.graph, &p.graph)
-                });
-                match hit {
-                    Some((i, _)) => used[i] = true,
-                    None => {
-                        return Err(format!(
-                            "k={k}: two-pass missing {:?} (sup {})",
-                            p.graph.labels(),
-                            p.support_count
-                        ))
-                    }
-                }
             }
         }
         Ok(())

@@ -38,7 +38,6 @@ mod extension;
 mod minimal;
 mod miner;
 pub mod oracle;
-mod parallel;
 
 pub use dfs_code::{dfs_edge_cmp, ArcDir, DfsCode, DfsEdge};
 pub use extension::{
@@ -50,9 +49,3 @@ pub use miner::{
     mine_frequent, ClassHandoff, CollectSink, FrequentPattern, GSpan, GSpanConfig, Grow,
     MinedPattern, PatternSink,
 };
-pub use parallel::{
-    mine_frequent_parallel, mine_parallel_classes, mine_parallel_with, ParallelOptions,
-    SearchPanicked, SearchRun, StealStats, TaskGauge,
-};
-#[doc(hidden)]
-pub use parallel::{mine_parallel_with_faults, FaultInjection};

@@ -65,9 +65,6 @@ pub enum Grow {
 /// by then, so the parent's are dead weight to the miner.
 #[derive(Debug)]
 pub struct ClassHandoff {
-    /// The pattern's minimal DFS code — the class's canonical identity.
-    /// Parallel consumers key their deterministic merge on it.
-    pub code: DfsCode,
     /// The pattern as a graph (vertex ids = DFS ids).
     pub graph: LabeledGraph,
     /// Number of distinct database graphs containing the pattern.
@@ -147,26 +144,20 @@ impl<'a> GSpan<'a> {
         }
     }
 
-    /// Visits one search-tree node: minimality check, report, extension
-    /// enumeration, completion handoff. Returns `None` if the node is
-    /// non-minimal or its report said [`Grow::Stop`] (distinguished by
-    /// `stopped`); otherwise the frequent children to recurse into, in
-    /// canonical order (empty when pruned or at the edge cap).
-    ///
-    /// This is the unit of work both the serial recursion and the parallel
-    /// work-stealing driver are built from — sharing it is what keeps
-    /// their per-class output byte-identical.
-    pub(crate) fn visit<S: PatternSink>(
+    /// Recursive step: minimality check, report, extension enumeration,
+    /// completion handoff, then the frequent children in canonical order.
+    /// Precondition: `embs` is frequent. Owns the embedding list so
+    /// completed classes can be handed off by move.
+    fn mine_rec<S: PatternSink>(
         &self,
-        code: &DfsCode,
+        code: &mut DfsCode,
         embs: Vec<Embedding>,
         sink: &mut S,
         scratch: &mut MinScratch,
-        stopped: &mut bool,
-    ) -> Option<Vec<(crate::extension::OrderedExt, Vec<Embedding>)>> {
+    ) -> ControlFlow<()> {
         if !is_min_with_scratch(code, scratch) {
             // A smaller code reaches this graph; that branch reports it.
-            return None;
+            return ControlFlow::Continue(());
         }
         let graph = code.to_graph().expect("mined codes denote valid graphs"); // tsg-lint: allow(panic) — codes built edge-by-edge by the miner denote valid graphs
         let support = distinct_graph_count(&embs);
@@ -177,25 +168,21 @@ impl<'a> GSpan<'a> {
             embeddings: &embs,
         });
         let handoff = |embeddings: Vec<Embedding>, graph: LabeledGraph| ClassHandoff {
-            code: code.clone(),
             graph,
             support,
             embeddings,
         };
         match decision {
-            Grow::Stop => {
-                *stopped = true;
-                return None;
-            }
+            Grow::Stop => return ControlFlow::Break(()),
             Grow::Prune => {
                 sink.complete(handoff(embs, graph));
-                return Some(Vec::new());
+                return ControlFlow::Continue(());
             }
             Grow::Continue => {}
         }
         if self.config.max_edges.is_some_and(|m| code.len() >= m) {
             sink.complete(handoff(embs, graph));
-            return Some(Vec::new());
+            return ControlFlow::Continue(());
         }
         let exts = enumerate_extensions(code, &embs, self.db);
         // The children's embedding lists now exist; the parent's are dead
@@ -203,32 +190,10 @@ impl<'a> GSpan<'a> {
         // the subtree is explored — streaming consumers start on it while
         // mining continues.
         sink.complete(handoff(embs, graph));
-        Some(
-            exts.into_iter()
-                .filter(|(_, child_embs)| {
-                    distinct_graph_count(child_embs) >= self.config.min_support
-                })
-                .collect(),
-        )
-    }
-
-    /// Recursive step. Precondition: `embs` is frequent. Owns the
-    /// embedding list so completed classes can be handed off by move.
-    fn mine_rec<S: PatternSink>(
-        &self,
-        code: &mut DfsCode,
-        embs: Vec<Embedding>,
-        sink: &mut S,
-        scratch: &mut MinScratch,
-    ) -> ControlFlow<()> {
-        let mut stopped = false;
-        let Some(children) = self.visit(code, embs, sink, scratch, &mut stopped) else {
-            return if stopped {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            };
-        };
+        let children: Vec<_> = exts
+            .into_iter()
+            .filter(|(_, child_embs)| distinct_graph_count(child_embs) >= self.config.min_support)
+            .collect();
         for (key, child_embs) in children {
             code.push(key.0);
             let flow = self.mine_rec(code, child_embs, sink, scratch);

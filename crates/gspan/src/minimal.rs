@@ -38,7 +38,7 @@ impl MinScratch {
 /// the smallest seed edge, at every step the smallest legal rightmost-path
 /// extension must equal the next code edge. Any deviation proves a smaller
 /// code exists. Only the minimum extension is ever materialized
-/// ([`min_extension`]), so no extension map is built and losing branches
+/// (`min_extension`), so no extension map is built and losing branches
 /// are never cloned.
 pub fn is_min_with_scratch(code: &DfsCode, scratch: &mut MinScratch) -> bool {
     if code.is_empty() {

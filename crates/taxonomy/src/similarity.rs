@@ -2,7 +2,7 @@
 //!
 //! The paper's bibliography includes Resnik's IJCAI'95 measure
 //! ("Using Information Content to Evaluate Semantic Similarity in a
-//! Taxonomy", reference [16]); this module implements it — plus Lin's
+//! Taxonomy", reference \[16\]); this module implements it — plus Lin's
 //! normalized variant — so mined patterns can be compared, clustered, or
 //! ranked by how semantically specific their labels are.
 //!

@@ -1,31 +1,29 @@
 //! Deterministic fault and schedule plans for the parallel engines.
 //!
-//! The parallel miners' failure modes — a panicking sink, a worker dying
-//! mid-task, a receiver abandoning the pipeline channel, pathological
-//! steal schedules — are all timing-dependent in the wild. This module
-//! pins them down: every plan is a plain value, every injected event
-//! fires at a deterministic point (the Nth task, the Nth class, a seeded
-//! coin per spawn), so a failing configuration replays exactly.
+//! The parallel miners' failure modes — a worker panicking mid-class, a
+//! receiver abandoning the pipeline channel, a spill file torn or lost —
+//! are all timing-dependent in the wild. This module pins them down:
+//! every plan is a plain value, every injected event fires at a
+//! deterministic point (the Nth class, the Nth record, a named shard), so
+//! a failing configuration replays exactly.
 //!
-//! Plans thread into the engines through their `#[doc(hidden)]` hooks:
-//! [`SearchFaults`] into the work-stealing gSpan scheduler (used by both
-//! `tsg_gspan::mine_parallel_with` and `taxogram_core::mine_stealing`),
-//! [`PipelineFaults`] into the streaming pipeline's channel workers.
+//! Plans thread into the engines through their `#[doc(hidden)]` faulted
+//! entry points: [`PipelineFaults`] into the streaming pipeline's channel
+//! workers, [`ShardFaults`] into the sharded miner's spill I/O.
 
 use crate::gen::Case;
 use taxogram_core::{
-    mine_parallel_governed, mine_pipelined_faulted, mine_pipelined_governed_faulted,
-    mine_sharded_faulted, mine_stealing_faulted, mine_stealing_governed_faulted, Budget,
-    GovernOptions, MiningOutcome, MiningResult, PipelineFaults, PipelineOptions, SearchFaults,
-    ShardFaults, ShardOptions, ShardedOutcome, StealOptions, Taxogram, TaxogramConfig,
-    TaxogramError,
+    mine_pipelined_faulted, mine_sharded_faulted, Budget, GovernOptions, MiningOutcome,
+    MiningResult, PipelineFaults, PipelineOptions, ShardFaults, ShardOptions, ShardedOutcome,
+    Taxogram, TaxogramConfig, TaxogramError,
 };
 
 /// The thread counts the acceptance matrix sweeps.
 pub const FAULT_THREADS: [usize; 3] = [1, 2, 4];
 
-/// The channel/deque capacities the acceptance matrix sweeps; capacity 1
-/// maximizes contention (every spawn overflows, every send backpressures).
+/// The channel capacities (and Pass 2b class batches) the acceptance
+/// matrix sweeps; capacity 1 maximizes contention (every send
+/// backpressures).
 pub const FAULT_CAPACITIES: [usize; 3] = [1, 2, 4];
 
 /// One deterministic parallel-run configuration: scheduler shape plus
@@ -34,11 +32,9 @@ pub const FAULT_CAPACITIES: [usize; 3] = [1, 2, 4];
 pub struct FaultPlan {
     /// Worker thread count (0 ⇒ engine default).
     pub threads: usize,
-    /// Deque capacity (stealing) / channel capacity (pipelined);
+    /// Channel capacity (pipelined) / Pass 2b class batch (sharded);
     /// 0 ⇒ engine default.
     pub capacity: usize,
-    /// Faults for the work-stealing search.
-    pub search: SearchFaults,
     /// Faults for the streaming pipeline.
     pub pipeline: PipelineFaults,
     /// Spill-I/O faults for the sharded out-of-core miner.
@@ -62,17 +58,9 @@ impl FaultPlan {
         }
     }
 
-    /// Injects a panic into the `n`th executed search task (stealing
-    /// engine) and the `n`th pattern class (pipelined engine).
+    /// Injects a panic into the pipelined engine's `n`th pattern class.
     pub fn panic_at(mut self, n: usize) -> Self {
-        self.search.panic_at_task = Some(n);
         self.pipeline.panic_at_class = Some(n);
-        self
-    }
-
-    /// Applies a seeded forced-steal schedule to the search.
-    pub fn steal_schedule(mut self, seed: u64) -> Self {
-        self.search.steal_schedule_seed = Some(seed);
         self
     }
 
@@ -142,36 +130,19 @@ impl FaultPlan {
         }
     }
 
-    /// Runs the fused work-stealing engine under this plan.
-    pub fn run_stealing(&self, case: &Case) -> Result<MiningResult, TaxogramError> {
-        mine_stealing_faulted(
-            &self.config(case),
-            &case.db,
-            &case.taxonomy,
-            StealOptions {
-                threads: self.threads,
-                deque_capacity: self.capacity,
-                clamp_to_cores: false,
-            },
-            self.search,
-        )
-    }
-
-    /// Runs the streaming pipelined engine under this plan. Note the
-    /// engine needs `threads ≥ 2` to exercise the channel (at 1 it falls
-    /// back to the serial miner and faults cannot fire).
+    /// Runs the streaming pipelined engine (ungoverned) under this plan.
+    /// Note the engine needs `threads ≥ 2` to exercise the channel (at 1
+    /// it falls back to the serial miner and faults cannot fire).
     pub fn run_pipelined(&self, case: &Case) -> Result<MiningResult, TaxogramError> {
-        mine_pipelined_faulted(
+        Ok(mine_pipelined_faulted(
             &self.config(case),
             &case.db,
             &case.taxonomy,
-            PipelineOptions {
-                threads: self.threads,
-                channel_capacity: self.capacity,
-                clamp_to_cores: false,
-            },
+            self.pipeline_options(),
+            None,
             self.pipeline,
-        )
+        )?
+        .result)
     }
 
     /// Runs the serial engine under this plan's governance.
@@ -183,47 +154,15 @@ impl FaultPlan {
         )
     }
 
-    /// Runs the barrier engine under this plan's governance.
-    pub fn run_barrier_governed(&self, case: &Case) -> Result<MiningOutcome, TaxogramError> {
-        mine_parallel_governed(
-            &self.config(case),
-            &case.db,
-            &case.taxonomy,
-            self.threads,
-            &self.govern_options(),
-        )
-    }
-
     /// Runs the pipelined engine under this plan's governance and faults.
     pub fn run_pipelined_governed(&self, case: &Case) -> Result<MiningOutcome, TaxogramError> {
-        mine_pipelined_governed_faulted(
+        mine_pipelined_faulted(
             &self.config(case),
             &case.db,
             &case.taxonomy,
-            PipelineOptions {
-                threads: self.threads,
-                channel_capacity: self.capacity,
-                clamp_to_cores: false,
-            },
+            self.pipeline_options(),
+            Some(&self.govern_options()),
             self.pipeline,
-            &self.govern_options(),
-        )
-    }
-
-    /// Runs the work-stealing engine under this plan's governance and
-    /// faults.
-    pub fn run_stealing_governed(&self, case: &Case) -> Result<MiningOutcome, TaxogramError> {
-        mine_stealing_governed_faulted(
-            &self.config(case),
-            &case.db,
-            &case.taxonomy,
-            StealOptions {
-                threads: self.threads,
-                deque_capacity: self.capacity,
-                clamp_to_cores: false,
-            },
-            self.search,
-            &self.govern_options(),
         )
     }
 
@@ -255,6 +194,14 @@ impl FaultPlan {
             Some(&self.govern_options()),
             self.shard,
         )
+    }
+
+    fn pipeline_options(&self) -> PipelineOptions {
+        PipelineOptions {
+            threads: self.threads,
+            channel_capacity: self.capacity,
+            clamp_to_cores: false,
+        }
     }
 
     fn shard_options(&self, shards: usize) -> ShardOptions {
@@ -338,13 +285,10 @@ mod tests {
             .unwrap();
         for &threads in &FAULT_THREADS {
             for &capacity in &FAULT_CAPACITIES {
-                let plan = FaultPlan::shape(threads, capacity);
-                let stolen = plan.run_stealing(&c).unwrap();
-                assert_engines_identical(&serial, &stolen).unwrap();
-                if threads >= 2 {
-                    let piped = plan.run_pipelined(&c).unwrap();
-                    assert_engines_identical(&serial, &piped).unwrap();
-                }
+                let piped = FaultPlan::shape(threads, capacity)
+                    .run_pipelined(&c)
+                    .unwrap();
+                assert_engines_identical(&serial, &piped).unwrap();
             }
         }
     }
@@ -354,7 +298,7 @@ mod tests {
         let c = case(13);
         let plan = FaultPlan::shape(2, 1).panic_at(1);
         assert!(matches!(
-            plan.run_stealing(&c),
+            plan.run_pipelined(&c),
             Err(TaxogramError::WorkerPanicked { .. })
         ));
     }

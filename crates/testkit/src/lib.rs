@@ -12,11 +12,12 @@
 //! * [`metamorphic`] — the relation engine: properties that must hold
 //!   across *transformations* of the input (taxonomy flattening, graph
 //!   duplication, label permutation, …), checked uniformly against the
-//!   serial, barrier, pipelined, and work-stealing engines;
+//!   serial and pipelined engines, plus shard-count invariance for the
+//!   sharded miner;
 //! * [`fault`] — deterministic fault/schedule plans (injected worker
-//!   panics, forced-steal schedules, channel-capacity sweeps, receiver
-//!   drops, governance cancel/budget triggers) threaded into the
-//!   parallel engines through their `#[doc(hidden)]` hooks;
+//!   panics, channel-capacity sweeps, receiver drops, spill-I/O faults,
+//!   governance cancel/budget triggers) threaded into the parallel
+//!   engines through their `#[doc(hidden)]` faulted entry points;
 //! * [`corrupt`] — seeded mutation operators over text serializations,
 //!   for the parser-hardening suites (valid input, corrupted);
 //! * [`netfault`] — protocol-level wire fault plans (slow loris, torn

@@ -9,8 +9,8 @@
 //!    vacuous: relabeling is the identity and every pattern class has
 //!    exactly one member (itself), so the output must be *byte-identical*
 //!    to plain gSpan on the same database.
-//! 2. **Engine agreement** — serial, barrier, pipelined, and
-//!    work-stealing engines must produce byte-identical results.
+//! 2. **Engine agreement** — the serial and pipelined engines must
+//!    produce byte-identical results.
 //! 3. **θ-monotonicity** — raising the threshold can only shrink the
 //!    pattern set: `patterns(θ₂) ⊆ patterns(θ₁)` for `θ₁ ≤ θ₂`. This
 //!    survives the minimality filter because an over-generalization
@@ -41,8 +41,8 @@
 use crate::gen::{Case, THETAS};
 use taxogram_core::reference::{compare_with_reference, reference_mine};
 use taxogram_core::{
-    mine_parallel, mine_pipelined_with, mine_sharded, mine_stealing_with, MiningResult, Pattern,
-    PipelineOptions, ShardOptions, StealOptions, Taxogram, TaxogramConfig, TaxogramError,
+    mine_pipelined_faulted, mine_sharded, MiningResult, Pattern, PipelineFaults, PipelineOptions,
+    ShardOptions, Taxogram, TaxogramConfig, TaxogramError,
 };
 use tsg_graph::{GraphDatabase, LabeledGraph, NodeLabel};
 use tsg_iso::{is_isomorphic, support_count, GeneralizedMatcher};
@@ -57,32 +57,21 @@ pub const MAX_EDGES: usize = 3;
 pub enum Engine {
     /// `Taxogram::mine`, the serial three-step pipeline.
     Serial,
-    /// `mine_parallel`: collect-all barrier, then parallel Step 3.
-    Barrier,
-    /// `mine_pipelined_with`: streaming channel, tiny capacity, forced
-    /// past the core clamp so the channel machinery always runs.
+    /// `mine_pipelined_faulted` with no faults and no governance:
+    /// streaming channel, tiny capacity, forced past the core clamp so
+    /// the channel machinery always runs.
     Pipelined,
-    /// `mine_stealing_with`: fused work-stealing search, deque capacity
-    /// 2 so steals actually happen on small inputs.
-    Stealing,
 }
 
 /// Every engine, serial first (the comparison baseline).
-pub const ENGINES: [Engine; 4] = [
-    Engine::Serial,
-    Engine::Barrier,
-    Engine::Pipelined,
-    Engine::Stealing,
-];
+pub const ENGINES: [Engine; 2] = [Engine::Serial, Engine::Pipelined];
 
 impl Engine {
     /// Short name for failure messages.
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Serial => "serial",
-            Engine::Barrier => "barrier",
             Engine::Pipelined => "pipelined",
-            Engine::Stealing => "stealing",
         }
     }
 
@@ -95,8 +84,7 @@ impl Engine {
     ) -> Result<MiningResult, TaxogramError> {
         match self {
             Engine::Serial => Taxogram::new(*config).mine(db, taxonomy),
-            Engine::Barrier => mine_parallel(config, db, taxonomy, 3),
-            Engine::Pipelined => mine_pipelined_with(
+            Engine::Pipelined => Ok(mine_pipelined_faulted(
                 config,
                 db,
                 taxonomy,
@@ -105,17 +93,10 @@ impl Engine {
                     channel_capacity: 2,
                     clamp_to_cores: false,
                 },
-            ),
-            Engine::Stealing => mine_stealing_with(
-                config,
-                db,
-                taxonomy,
-                StealOptions {
-                    threads: 3,
-                    deque_capacity: 2,
-                    clamp_to_cores: false,
-                },
-            ),
+                None,
+                PipelineFaults::default(),
+            )?
+            .result),
         }
     }
 }

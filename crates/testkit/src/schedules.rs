@@ -1,7 +1,7 @@
 //! Named deterministic model-checker schedules for the fault matrix.
 //!
 //! The [`crate::fault`] plans trigger failures *deterministically in
-//! value space* (panic at the Nth task, cancel after the Nth class) but
+//! value space* (panic at the Nth class, cancel after the Nth class) but
 //! still leave thread *timing* to the OS. The model-checker stage
 //! removes that last degree of freedom: each schedule below is a list
 //! of scheduler decisions — ordinals into the sorted set of runnable
@@ -22,10 +22,10 @@
 /// channel, closes, then drains the leftovers itself.
 pub const RECEIVER_DROP_MID_STREAM: &[usize] = &[0, 1, 0, 0, 1, 1, 0];
 
-/// A worker panics at the Nth claimed task (`panic_at_task`): tickets
-/// race off the shared cursor and the panic must surface through
-/// `join` without stranding the surviving worker.
-pub const PANIC_AT_NTH_STEAL: &[usize] = &[0, 0, 1, 1, 0, 1, 0, 1];
+/// A worker panics at its Nth claimed ticket: tickets race off the
+/// shared cursor and the panic must surface through `join` without
+/// stranding the surviving worker.
+pub const PANIC_AT_NTH_CLAIM: &[usize] = &[0, 0, 1, 1, 0, 1, 0, 1];
 
 /// A budget trip races admission (`budget_classes` / `cancel_after`):
 /// two workers hit a one-class governor and the pinned schedule makes

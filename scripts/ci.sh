@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local CI gate: release build, every workspace test, clippy with
-# warnings promoted to errors, then the deep deterministic stages — a
-# pinned-seed high-case proptest sweep and the parallel-engine
-# fault-injection matrix. Run from anywhere inside the repo.
+# warnings promoted to errors, rustdoc with warnings promoted to errors,
+# then the deep deterministic stages — a pinned-seed high-case proptest
+# sweep and the fault-injection matrices. Run from anywhere inside the
+# repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +45,12 @@ cargo test -q
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc stage: every intra-doc link must resolve, so a doc comment
+# still naming a deleted item (or a private one) fails here instead of
+# rendering as a dead link.
+echo "== rustdoc (warnings are errors) =="
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
+
 # Deep property stage: 256 cases per property (the acceptance floor for
 # the metamorphic relations), pinned to one run seed so any failure here
 # replays bit-for-bit on any host. The proptest shim mixes
@@ -74,8 +81,8 @@ cargo run --release -q -p tsg-bench --bin taxonomy_scale -- --smoke
 echo "== kernel-regression tripwire (vs newest BENCH_*.json) =="
 cargo run --release -q -p tsg-bench --bin kernel_gate
 
-# Fault-injection stage: the panic/receiver-drop/forced-steal/capacity
-# matrix for the parallel engines, at the acceptance thread counts.
+# Fault-injection stage: the panic/receiver-drop/capacity matrix for the
+# pipelined engine, at the acceptance thread counts.
 echo "== fault-injection matrix =="
 cargo test -q -p taxogram-core --test fault_injection
 
@@ -113,7 +120,8 @@ if [ "$leftover" -ne 0 ]; then
 fi
 
 # Governance stage: the cancellation/deadline/budget acceptance matrix
-# (clean completed-prefix partial results across all four engines) plus
+# (clean completed-prefix partial results across the serial, pipelined
+# and sharded engines) plus
 # the seeded parser-mutation sweeps, pinned to one run seed so any
 # corruption-induced failure replays bit-for-bit.
 echo "== governance matrix + parser mutation (pinned seed) =="

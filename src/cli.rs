@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! taxogram mine --taxonomy t.txt --database d.txt --support 0.2
-//!               [--max-edges N] [--baseline] [--algorithm taxogram|tacgm]
+//!               [--max-edges N] [--baseline true] [--algorithm taxogram|tacgm]
 //! taxogram stats --database d.txt
 //! taxogram generate --dataset D1000 --scale 0.05 --out DIR
 //! ```
@@ -83,13 +83,59 @@ impl Args {
         self.get(name)
             .ok_or_else(|| err(format!("missing required flag --{name}")))
     }
+
+    /// Fails naming the first flag that is not in `known`, so a typo is
+    /// an error rather than a silently ignored option.
+    fn only(&self, known: &[&str]) -> Result<(), CliError> {
+        match self
+            .flags
+            .iter()
+            .find(|(n, _)| !known.contains(&n.as_str()))
+        {
+            Some((name, _)) => Err(err(format!("{} does not take --{name}", self.subcommand))),
+            None => Ok(()),
+        }
+    }
 }
+
+/// The flags `mine` takes.
+const MINE_FLAGS: &[&str] = &[
+    "taxonomy",
+    "database",
+    "support",
+    "max-edges",
+    "baseline",
+    "algorithm",
+    "threads",
+    "dot-dir",
+    "shards",
+    "spill-dir",
+    "filter",
+    "time-limit",
+    "memory-limit",
+    "max-patterns",
+];
+
+/// The flags `serve` takes.
+const SERVE_FLAGS: &[&str] = &[
+    "taxonomy",
+    "database",
+    "addr",
+    "workers",
+    "queue",
+    "max-connections",
+    "cache",
+    "max-time-limit",
+    "default-time-limit",
+    "port-file",
+    "max-runtime-ms",
+];
 
 /// Usage text.
 pub const USAGE: &str = "usage: taxogram <mine|serve|stats|generate> [flags]
   mine      --taxonomy FILE --database FILE --support θ
             [--max-edges N] [--baseline true] [--algorithm taxogram|tacgm]
-            [--threads N] [--partitions N] [--dot-dir DIR]
+            [--threads N] [--dot-dir DIR]
             [--shards N] [--spill-dir DIR]   (out-of-core sharded mining;
               composes with --threads and the governance flags)
             [--filter closed|maximal|interesting:R]
@@ -121,10 +167,12 @@ pub fn run(raw: &[String], out: &mut dyn Write) -> i32 {
 fn dispatch(raw: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(raw)?;
     match args.subcommand.as_str() {
-        "mine" => mine(&args, out),
-        "serve" => serve(&args, out),
-        "stats" => stats(&args, out),
-        "generate" => generate(&args, out),
+        "mine" => args.only(MINE_FLAGS).and_then(|()| mine(&args, out)),
+        "serve" => args.only(SERVE_FLAGS).and_then(|()| serve(&args, out)),
+        "stats" => args.only(&["database"]).and_then(|()| stats(&args, out)),
+        "generate" => args
+            .only(&["dataset", "out", "scale"])
+            .and_then(|()| generate(&args, out)),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}")?;
             Ok(())
@@ -205,9 +253,9 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         Some(s) => s.parse().map_err(|_| err("--threads must be an integer"))?,
         None => 1,
     };
-    let partitions: usize = match args.get("partitions") {
-        Some(s) => s.parse().map_err(|_| err("--partitions must be an integer"))?,
-        None => 1,
+    let shards: usize = match args.get("shards") {
+        Some(s) => s.parse().map_err(|_| err("--shards must be an integer"))?,
+        None => 0,
     };
     let started = std::time::Instant::now();
     let printed = match algorithm {
@@ -218,40 +266,97 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 taxogram_core::TaxogramConfig::with_threshold(theta)
             };
             cfg.max_edges = max_edges;
-            let shards: usize = match args.get("shards") {
-                Some(s) => s.parse().map_err(|_| err("--shards must be an integer"))?,
-                None => 0,
-            };
-            if shards > 0 {
-                // Out-of-core sharded SON mining: spills the database to
-                // disk, mines shard-parallel, and (unlike --partitions)
-                // composes with governance.
-                if partitions > 1 {
-                    return Err(err("--shards and --partitions are mutually exclusive"));
-                }
+            // --shards > 0 spills the database and mines it out of core;
+            // otherwise threads > 1 uses the streaming pipelined engine
+            // (Step 2 and Step 3 overlapped) and threads <= 1 the serial
+            // miner. Governance flags route through the governed entry
+            // points and surface the termination report as a comment
+            // line; a sharded run always reports it.
+            let govern = govern_flags(args)?;
+            let (r, termination, shard_stats) = if shards > 0 {
                 let opts = taxogram_core::ShardOptions {
                     shards,
                     threads: threads.max(1),
                     spill_dir: args.get("spill-dir").map(std::path::PathBuf::from),
                     ..Default::default()
                 };
-                let outcome = match govern_flags(args)? {
-                    Some(govern) => taxogram_core::mine_sharded_governed(
-                        &cfg, &db, &taxonomy, &opts, &govern,
-                    ),
+                let outcome = match &govern {
+                    Some(govern) => {
+                        taxogram_core::mine_sharded_governed(&cfg, &db, &taxonomy, &opts, govern)
+                    }
                     None => taxogram_core::mine_sharded(&cfg, &db, &taxonomy, &opts),
                 }
                 .map_err(|e| err(e.to_string()))?;
-                for p in outcome.result.sorted_patterns() {
-                    print_pattern(out, &p.graph, p.support_count, db.len(), &name_of)?;
+                (
+                    outcome.result,
+                    Some(outcome.termination),
+                    Some(outcome.shard_stats),
+                )
+            } else if let Some(govern) = &govern {
+                let outcome = taxogram_core::mine_pipelined_governed(
+                    &cfg,
+                    &db,
+                    &taxonomy,
+                    taxogram_core::PipelineOptions {
+                        threads,
+                        ..Default::default()
+                    },
+                    govern,
+                )
+                .map_err(|e| err(e.to_string()))?;
+                (outcome.result, Some(outcome.termination), None)
+            } else {
+                let r = taxogram_core::mine_pipelined(&cfg, &db, &taxonomy, threads)
+                    .map_err(|e| err(e.to_string()))?;
+                (r, None, None)
+            };
+            // Optional post-filters on the minimal pattern set.
+            let selected: Vec<&taxogram_core::Pattern> = match args.get("filter") {
+                None => r.sorted_patterns(),
+                Some("closed") => {
+                    taxogram_core::postprocess::closed_patterns(&r.patterns, &taxonomy)
                 }
-                let s = &outcome.shard_stats;
+                Some("maximal") => {
+                    taxogram_core::postprocess::maximal_patterns(&r.patterns, &taxonomy)
+                }
+                Some(f) => {
+                    let factor: f64 = f
+                        .strip_prefix("interesting:")
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| err("--filter must be closed, maximal, or interesting:R"))?;
+                    taxogram_core::interest::r_interesting(&r.patterns, &db, &taxonomy, factor)
+                        .into_iter()
+                        .map(|(p, _)| p)
+                        .collect()
+                }
+            };
+            if let Some(dir) = args.get("dot-dir") {
+                let dir = std::path::Path::new(dir);
+                std::fs::create_dir_all(dir)?;
+                for (i, p) in selected.iter().enumerate().take(100) {
+                    let dot =
+                        tsg_graph::dot::to_dot(&p.graph, &format!("pattern_{i}"), Some(&names));
+                    std::fs::write(dir.join(format!("pattern_{i:03}.dot")), dot)?;
+                }
+            }
+            for p in &selected {
+                print_pattern(out, &p.graph, p.support_count, db.len(), &name_of)?;
+            }
+            writeln!(
+                out,
+                "# {} of {} patterns after filter, {} classes, {} occurrence-index updates",
+                selected.len(),
+                r.patterns.len(),
+                r.stats.classes,
+                r.stats.oi_updates
+            )?;
+            if let Some(s) = &shard_stats {
                 writeln!(
                     out,
                     "# {} patterns from {} shards ({} candidates, {} globally infrequent, \
                      {} bound-pruned, {} recounts, \
                      {} bytes spilled / largest shard {}, {} db streams)",
-                    outcome.result.patterns.len(),
+                    r.patterns.len(),
                     s.shards,
                     s.candidates,
                     s.globally_infrequent,
@@ -261,116 +366,29 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                     s.largest_shard_bytes,
                     s.db_streams
                 )?;
-                let t = &outcome.termination;
+            }
+            if let Some(t) = &termination {
                 writeln!(
                     out,
                     "# termination: {} ({} classes finished, {} abandoned)",
                     t.reason, t.classes_finished, t.classes_abandoned
                 )?;
-                outcome.result.patterns.len()
-            } else if partitions > 1 {
-                if govern_flags(args)?.is_some() {
-                    return Err(err(
-                        "--time-limit/--memory-limit/--max-patterns are not supported with --partitions",
-                    ));
-                }
-                // Two-pass partitioned ("disk-based") mining.
-                let parts = taxogram_core::son::partition(&db, partitions);
-                let r = taxogram_core::son::mine_partitioned(&cfg, &parts, &taxonomy)
-                    .map_err(|e| err(e.to_string()))?;
-                for p in &r.patterns {
-                    print_pattern(out, &p.graph, p.support_count, db.len(), &name_of)?;
-                }
-                writeln!(
-                    out,
-                    "# {} patterns from {} partitions ({} candidates)",
-                    r.patterns.len(),
-                    r.stats.partitions,
-                    r.stats.candidates
-                )?;
-                r.patterns.len()
-            } else {
-                // threads > 1 uses the streaming pipelined engine (Step 2
-                // and Step 3 overlapped); threads <= 1 is the serial miner.
-                // Governance flags route through the governed entry point
-                // and surface the termination report as a comment line.
-                let (r, termination) = match govern_flags(args)? {
-                    Some(govern) => {
-                        let outcome = taxogram_core::mine_pipelined_governed(
-                            &cfg,
-                            &db,
-                            &taxonomy,
-                            taxogram_core::PipelineOptions {
-                                threads,
-                                ..Default::default()
-                            },
-                            &govern,
-                        )
-                        .map_err(|e| err(e.to_string()))?;
-                        (outcome.result, Some(outcome.termination))
-                    }
-                    None => (
-                        taxogram_core::mine_pipelined(&cfg, &db, &taxonomy, threads)
-                            .map_err(|e| err(e.to_string()))?,
-                        None,
-                    ),
-                };
-                // Optional post-filters on the minimal pattern set.
-                let selected: Vec<&taxogram_core::Pattern> = match args.get("filter") {
-                    None => r.sorted_patterns(),
-                    Some("closed") => {
-                        taxogram_core::postprocess::closed_patterns(&r.patterns, &taxonomy)
-                    }
-                    Some("maximal") => {
-                        taxogram_core::postprocess::maximal_patterns(&r.patterns, &taxonomy)
-                    }
-                    Some(f) => {
-                        let factor: f64 = f
-                            .strip_prefix("interesting:")
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| {
-                                err("--filter must be closed, maximal, or interesting:R")
-                            })?;
-                        taxogram_core::interest::r_interesting(&r.patterns, &db, &taxonomy, factor)
-                            .into_iter()
-                            .map(|(p, _)| p)
-                            .collect()
-                    }
-                };
-                if let Some(dir) = args.get("dot-dir") {
-                    let dir = std::path::Path::new(dir);
-                    std::fs::create_dir_all(dir)?;
-                    for (i, p) in selected.iter().enumerate().take(100) {
-                        let dot = tsg_graph::dot::to_dot(&p.graph, &format!("pattern_{i}"), Some(&names));
-                        std::fs::write(dir.join(format!("pattern_{i:03}.dot")), dot)?;
-                    }
-                }
-                for p in &selected {
-                    print_pattern(out, &p.graph, p.support_count, db.len(), &name_of)?;
-                }
-                writeln!(
-                    out,
-                    "# {} of {} patterns after filter, {} classes, {} occurrence-index updates",
-                    selected.len(),
-                    r.patterns.len(),
-                    r.stats.classes,
-                    r.stats.oi_updates
-                )?;
-                if let Some(t) = &termination {
-                    writeln!(
-                        out,
-                        "# termination: {} ({} classes finished, {} abandoned)",
-                        t.reason, t.classes_finished, t.classes_abandoned
-                    )?;
-                }
-                selected.len()
             }
+            selected.len()
         }
         "tacgm" => {
             if govern_flags(args)?.is_some() {
                 return Err(err(
                     "--time-limit/--memory-limit/--max-patterns are not supported with --algorithm tacgm",
                 ));
+            }
+            let unsupported = [
+                ("threads", threads > 1),
+                ("shards", shards > 0),
+                ("filter", args.get("filter").is_some()),
+            ];
+            if let Some((flag, _)) = unsupported.iter().find(|(_, given)| *given) {
+                return Err(err(format!("--{flag} is not supported with --algorithm tacgm")));
             }
             let mut cfg = tsg_tacgm::TacgmConfig::with_threshold(theta);
             cfg.max_edges = max_edges;
@@ -687,7 +705,7 @@ mod tests {
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("candidates generated"), "{out}");
 
-        // Parallel and partitioned modes produce the same pattern count.
+        // Parallel and sharded modes produce the same pattern count.
         let (code, serial_out) = run_capture(&[
             "mine", "--taxonomy", &taxf, "--database", &dbf, "--support", "0.4",
             "--max-edges", "3",
@@ -702,10 +720,10 @@ mod tests {
         assert_eq!(count(&serial_out), count(&par_out));
         let (code, son_out) = run_capture(&[
             "mine", "--taxonomy", &taxf, "--database", &dbf, "--support", "0.4",
-            "--max-edges", "3", "--partitions", "3",
+            "--max-edges", "3", "--shards", "3",
         ]);
         assert_eq!(code, 0, "{son_out}");
-        assert!(son_out.contains("partitions"), "{son_out}");
+        assert!(son_out.contains("shards"), "{son_out}");
         assert_eq!(count(&serial_out), count(&son_out), "same pattern count either way");
 
         // DOT export writes pattern files.
@@ -787,8 +805,8 @@ mod tests {
             "spill files must be cleaned up"
         );
 
-        // Sharding composes with governance (which --partitions rejects):
-        // an expired deadline reports truthfully and still cleans up.
+        // Sharding composes with governance: an expired deadline reports
+        // truthfully and still cleans up.
         let (code, gov_out) = run_capture(&[
             "mine", "--taxonomy", &taxf, "--database", &dbf, "--support", "0.4",
             "--max-edges", "3", "--shards", "4", "--time-limit", "0",
@@ -798,15 +816,111 @@ mod tests {
         assert!(gov_out.contains("# termination: deadline exceeded"), "{gov_out}");
         assert_eq!(std::fs::read_dir(&spilldir).unwrap().count(), 0);
 
-        // Mutually exclusive with --partitions.
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Generates TS25 at scale 0.01 into a fresh temp dir named after
+    /// `tag`; returns the dir and the taxonomy and database paths.
+    fn ts25(tag: &str) -> (std::path::PathBuf, String, String) {
+        let dir = std::env::temp_dir().join(format!("taxogram-cli-{tag}-{}", std::process::id()));
+        let dirs = dir.to_string_lossy().to_string();
+        let (code, out) = run_capture(&[
+            "generate", "--dataset", "TS25", "--scale", "0.01", "--out", &dirs,
+        ]);
+        assert_eq!(code, 0, "{out}");
+        let taxf = dir.join("taxonomy.txt").to_string_lossy().to_string();
+        let dbf = dir.join("database.txt").to_string_lossy().to_string();
+        (dir, taxf, dbf)
+    }
+
+    #[test]
+    fn sharded_mine_applies_filters() {
+        let (dir, taxf, dbf) = ts25("shard-filter");
+        let spills = dir.to_string_lossy().to_string();
+        let pattern_lines = |s: &str| -> Vec<String> {
+            s.lines()
+                .filter(|l| !l.starts_with('#'))
+                .map(str::to_string)
+                .collect()
+        };
+        let base = [
+            "mine", "--taxonomy", &taxf, "--database", &dbf, "--support", "0.4",
+            "--max-edges", "3",
+        ];
+        let (_, all) = run_capture(&base);
+        for filter in ["maximal", "closed"] {
+            let mut plain = base.to_vec();
+            plain.extend(["--filter", filter]);
+            let mut sharded = plain.clone();
+            sharded.extend(["--shards", "3", "--spill-dir", &spills]);
+            let (code, plain_out) = run_capture(&plain);
+            assert_eq!(code, 0, "{plain_out}");
+            let (code, shard_out) = run_capture(&sharded);
+            assert_eq!(code, 0, "{shard_out}");
+            if filter == "maximal" {
+                assert!(
+                    pattern_lines(&plain_out).len() < pattern_lines(&all).len(),
+                    "--filter maximal must drop patterns on this input"
+                );
+            }
+            assert_eq!(
+                pattern_lines(&plain_out),
+                pattern_lines(&shard_out),
+                "--filter {filter}: sharded listing must match the unsharded one"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mine_rejects_unknown_flag() {
+        let (dir, taxf, dbf) = ts25("unknown-flag");
         let (code, out) = run_capture(&[
             "mine", "--taxonomy", &taxf, "--database", &dbf, "--support", "0.4",
-            "--shards", "2", "--partitions", "2",
+            "--max-edge", "1",
         ]);
-        assert_eq!(code, 2);
-        assert!(out.contains("mutually exclusive"), "{out}");
-
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("--max-edge"), "{out}");
+        let (code, out) = run_capture(&["stats", "--database", &dbf, "--support", "0.4"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("--support"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `mine --algorithm tacgm` on TS25 with `extra` flags.
+    fn tacgm_with(tag: &str, extra: &[&str]) -> (i32, String) {
+        let (dir, taxf, dbf) = ts25(tag);
+        let mut args = vec![
+            "mine", "--taxonomy", &taxf, "--database", &dbf, "--support", "0.4",
+            "--max-edges", "2", "--algorithm", "tacgm",
+        ];
+        args.extend(extra);
+        let result = run_capture(&args);
+        let _ = std::fs::remove_dir_all(&dir);
+        result
+    }
+
+    #[test]
+    fn tacgm_rejects_threads() {
+        let (code, out) = tacgm_with("tacgm-threads", &["--threads", "2"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("--threads"), "{out}");
+        let (code, out) = tacgm_with("tacgm-one-thread", &["--threads", "1"]);
+        assert_eq!(code, 0, "{out}");
+    }
+
+    #[test]
+    fn tacgm_rejects_shards() {
+        let (code, out) = tacgm_with("tacgm-shards", &["--shards", "2"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("--shards"), "{out}");
+    }
+
+    #[test]
+    fn tacgm_rejects_filter() {
+        let (code, out) = tacgm_with("tacgm-filter", &["--filter", "closed"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("--filter"), "{out}");
     }
 
     #[test]
@@ -856,12 +970,6 @@ mod tests {
         ]);
         assert_eq!(code, 2);
         assert!(out.contains("--memory-limit"), "{out}");
-        let (code, out) = run_capture(&[
-            "mine", "--taxonomy", &taxf, "--database", &dbf, "--support", "0.4",
-            "--max-patterns", "5", "--partitions", "2",
-        ]);
-        assert_eq!(code, 2);
-        assert!(out.contains("--partitions"), "{out}");
         let (code, out) = run_capture(&[
             "mine", "--taxonomy", &taxf, "--database", &dbf, "--support", "0.4",
             "--max-patterns", "5", "--algorithm", "tacgm",

@@ -40,8 +40,8 @@
 pub mod cli;
 
 pub use taxogram_core::{
-    mine_parallel, Enhancements, MiningResult, MiningStats, Pattern, Taxogram, TaxogramConfig,
-    TaxogramError,
+    mine_pipelined, mine_sharded, Enhancements, MiningResult, MiningStats, Pattern, Taxogram,
+    TaxogramConfig, TaxogramError,
 };
 
 /// Labeled graphs, databases, statistics, text I/O.
