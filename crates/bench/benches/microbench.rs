@@ -12,7 +12,7 @@
 //! * the serial engine vs the streaming pipelined engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tsg_bench::kernels::{baseline_gallop_count, clustered_members};
+use tsg_bench::kernels::{baseline_gallop_count, clustered_members, oi_row_workload};
 use tsg_bitset::{AdaptiveBitSet, BitSet};
 use tsg_datagen::{generate_database, go_like_taxonomy_scaled, GraphGenConfig, LabelPool, Sizing};
 use tsg_iso::{count_embeddings, ExactMatcher, GeneralizedMatcher};
@@ -124,7 +124,7 @@ fn pipeline_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fused adaptive∩dense kernels against materialize-then-count, the
+/// The Lemma 7 support kernel on an occurrence-index-shaped row, the
 /// old skewed sparse∩sparse workload on both the retired sorted-vec
 /// gallop and the adaptive dispatch, and the acceptance-criterion
 /// comparison: adaptive containers vs the retired gallop kernel on
@@ -132,24 +132,12 @@ fn pipeline_overhead(c: &mut Criterion) {
 /// territory, where word-parallel AND should win by well over 2×).
 fn fused_kernels(c: &mut Criterion) {
     let universe = 20_000usize;
-    let dense = BitSet::from_iter_with_universe(universe, (0..universe).step_by(3));
-    let sparse: AdaptiveBitSet = (0..universe).step_by(40).collect();
     let mut group = c.benchmark_group("fused");
-    group.bench_function("sparse_dense_count_fused", |b| {
-        b.iter(|| sparse.intersection_count_dense(&dense));
-    });
-    group.bench_function("sparse_dense_count_materialized", |b| {
-        let mut out = BitSet::new(universe);
-        b.iter(|| sparse.intersect_into_dense(&dense, &mut out));
-    });
-    // Distinct-graph counting (Lemma 7's unit of work): occurrences map
-    // to ~200 database graphs.
-    let map: Vec<u32> = (0..universe as u32).map(|i| i % 200).collect();
-    let mut scratch = BitSet::new(200);
-    group.bench_function("sparse_dense_distinct_mapped", |b| {
-        b.iter(|| {
-            tsg_bitset::adaptive_dense_distinct_mapped_count(&sparse, &dense, &map, &mut scratch)
-        });
+    // Lemma 7's unit of work: distinct graphs of an occurrence-index
+    // row ∩ the working set.
+    let (row, working, occ_graph) = oi_row_workload();
+    group.bench_function("oi_row_distinct_graphs", |b| {
+        b.iter(|| tsg_bitset::distinct_monotone_mapped_count(&row, &working, &occ_graph));
     });
     // Skewed sparse∩sparse: 64 members probing 20k. The retired kernel
     // keeps its historical name for BENCH continuity; the adaptive

@@ -14,7 +14,7 @@
 //! claim about deleted code.
 
 use std::time::Instant;
-use tsg_bitset::{adaptive_dense_distinct_mapped_count, AdaptiveBitSet, BitSet};
+use tsg_bitset::{distinct_monotone_mapped_count, AdaptiveBitSet, BitSet};
 
 /// Median ns/iter over `samples` batches of `batch` calls each.
 pub fn median_ns(samples: usize, batch: usize, mut f: impl FnMut()) -> f64 {
@@ -106,16 +106,25 @@ pub fn clustered_members() -> (Vec<usize>, Vec<usize>) {
     (a, b)
 }
 
+/// An occurrence-index-shaped Step 3 operand pair: a class of 2,048
+/// occurrences over ~1,576 graphs (≈1.3 occurrences per graph, ascending
+/// like every engine's embeddings), one label row holding every third
+/// occurrence, and a working set holding three occurrences in four.
+/// Returns `(row, working set, occurrence→graph map)`.
+pub fn oi_row_workload() -> (BitSet, BitSet, Vec<u32>) {
+    let universe = 2048usize;
+    let occ_graph: Vec<u32> = (0..universe as u32).map(|o| o * 10 / 13).collect();
+    let row = BitSet::from_iter_with_universe(universe, (0..universe).step_by(3));
+    let working = BitSet::from_iter_with_universe(universe, (0..universe).filter(|o| o % 4 != 0));
+    (row, working, occ_graph)
+}
+
 /// Times the hot-kernel set: `(name, median ns)` rows, identical between
 /// `bench_snapshot` (which records them) and `kernel_gate` (which checks
 /// them against the record).
 pub fn kernel_medians() -> Vec<(&'static str, f64)> {
+    let (row, working, occ_graph) = oi_row_workload();
     let universe = 20_000usize;
-    let dense = BitSet::from_iter_with_universe(universe, (0..universe).step_by(3));
-    let sparse: AdaptiveBitSet = (0..universe).step_by(40).collect();
-    let map: Vec<u32> = (0..universe as u32).map(|i| i % 200).collect();
-    let mut scratch = BitSet::new(200);
-    let mut out = BitSet::new(universe);
     let small_members: Vec<usize> = (0..universe).step_by(universe / 64).collect();
     let large_members: Vec<usize> = (0..universe).collect();
     let small: AdaptiveBitSet = small_members.iter().copied().collect();
@@ -125,27 +134,11 @@ pub fn kernel_medians() -> Vec<(&'static str, f64)> {
     let rb: AdaptiveBitSet = cb.iter().copied().collect();
 
     vec![
+        // Lemma 7's unit of work on an occurrence-index-shaped row.
         (
-            "sparse_dense_count_fused",
+            "oi_row_distinct_graphs",
             median_ns(31, 200, || {
-                std::hint::black_box(sparse.intersection_count_dense(&dense));
-            }),
-        ),
-        (
-            "sparse_dense_count_materialized",
-            median_ns(31, 200, || {
-                std::hint::black_box(sparse.intersect_into_dense(&dense, &mut out));
-            }),
-        ),
-        (
-            "sparse_dense_distinct_mapped",
-            median_ns(31, 200, || {
-                std::hint::black_box(adaptive_dense_distinct_mapped_count(
-                    &sparse,
-                    &dense,
-                    &map,
-                    &mut scratch,
-                ));
+                std::hint::black_box(distinct_monotone_mapped_count(&row, &working, &occ_graph));
             }),
         ),
         // The old two-representation kernel on its old workload (64

@@ -12,15 +12,14 @@
 //! without the caller choosing a representation up front.
 //!
 //! The dense fixed-universe [`BitSet`] remains the right type for
-//! bounded, mostly-full working sets (Step 3's per-class recursion
-//! state, scratch marking areas, taxonomy closures); the fused
-//! `*_dense` kernels here are the bridge between the two worlds, and
-//! chunk bitmaps AND directly against the dense set's words (a chunk's
-//! 1024 words are exactly block-aligned with `BitSet`'s layout).
+//! bounded universes: occurrence sets (a class's universe is its
+//! embedding count, so a row is ⌈U/64⌉ words and every Lemma 7
+//! intersection is word-parallel), Step 3's working sets, and taxonomy
+//! closures.
 
 // tsg-lint: allow(index) — chunk vectors are indexed by positions from this file's own binary searches and merge cursors
 
-use crate::container::{self, Container, BITMAP_WORDS};
+use crate::container::{self, Container};
 use crate::BitSet;
 
 const CHUNK_BITS: usize = 16;
@@ -62,16 +61,6 @@ impl AdaptiveBitSet {
     /// allocating), so bulk construction never needs a separate
     /// re-encoding pass.
     pub fn from_members(mut items: Vec<usize>) -> Self {
-        Self::from_scratch(&mut items)
-    }
-
-    /// [`from_members`](Self::from_members) reading out of a caller-owned
-    /// scratch buffer: sorts and deduplicates in place, builds the set,
-    /// and leaves the buffer cleared (allocation intact) for reuse. Bulk
-    /// builders constructing many sets — occurrence indexing — pool the
-    /// buffer so per-set construction costs only the container
-    /// allocations themselves.
-    pub fn from_scratch(items: &mut Vec<usize>) -> Self {
         items.sort_unstable();
         items.dedup();
         let mut chunks = Vec::new();
@@ -89,7 +78,6 @@ impl AdaptiveBitSet {
                 container: Container::from_sorted_span(span),
             });
         }
-        items.clear();
         AdaptiveBitSet { chunks }
     }
 
@@ -389,175 +377,6 @@ impl AdaptiveBitSet {
         }
     }
 
-    // -- fused dense-interop kernels ------------------------------------
-
-    /// `|self ∩ dense|`: bitmap chunks AND word-parallel against the
-    /// dense set's blocks; array/run chunks probe per member. Members of
-    /// `self` outside `dense`'s universe count as absent, so an adaptive
-    /// set may safely be probed against a (smaller) working-set universe.
-    pub fn intersection_count_dense(&self, dense: &BitSet) -> usize {
-        let blocks = &dense.blocks;
-        let mut n = 0;
-        for c in &self.chunks {
-            let word_base = c.key as usize * BITMAP_WORDS;
-            if word_base >= blocks.len() {
-                break;
-            }
-            match &c.container {
-                Container::Bitmap(bm) => {
-                    let window = &blocks[word_base..blocks.len().min(word_base + BITMAP_WORDS)];
-                    n += bm
-                        .words
-                        .iter()
-                        .zip(window)
-                        .map(|(a, b)| (a & b).count_ones() as usize)
-                        .sum::<usize>();
-                }
-                Container::Array(items) => {
-                    // Branchless word probes against the clipped window;
-                    // items are sorted, so the first out-of-universe
-                    // member ends the chunk.
-                    let window = &blocks[word_base..blocks.len().min(word_base + BITMAP_WORDS)];
-                    for &low in items {
-                        let wi = (low >> 6) as usize;
-                        if wi >= window.len() {
-                            break;
-                        }
-                        n += ((window[wi] >> (low & 63)) & 1) as usize;
-                    }
-                }
-                Container::Runs(runs) => {
-                    // A run is a contiguous bit range of the dense
-                    // operand: masked popcounts, not per-member probes.
-                    let base = (c.key as usize) << CHUNK_BITS;
-                    let nbits = blocks.len() << 6;
-                    for r in runs {
-                        let lo = base | r.start as usize;
-                        if lo >= nbits {
-                            break;
-                        }
-                        let hi = (base | r.last as usize).min(nbits - 1);
-                        n += count_dense_range(blocks, lo, hi);
-                    }
-                }
-            }
-        }
-        n
-    }
-
-    /// Calls `f` on each member of `self ∩ dense`, ascending, without
-    /// materializing either side.
-    pub fn for_each_in_intersection_dense(&self, dense: &BitSet, mut f: impl FnMut(usize)) {
-        let blocks = &dense.blocks;
-        for c in &self.chunks {
-            let word_base = c.key as usize * BITMAP_WORDS;
-            if word_base >= blocks.len() {
-                break;
-            }
-            let base = (c.key as usize) << CHUNK_BITS;
-            match &c.container {
-                Container::Bitmap(bm) => {
-                    let window = &blocks[word_base..blocks.len().min(word_base + BITMAP_WORDS)];
-                    for (wi, (a, b)) in bm.words.iter().zip(window).enumerate() {
-                        let mut w = a & b;
-                        while w != 0 {
-                            f(base | (wi * 64 + w.trailing_zeros() as usize));
-                            w &= w - 1;
-                        }
-                    }
-                }
-                Container::Array(items) => {
-                    let window = &blocks[word_base..blocks.len().min(word_base + BITMAP_WORDS)];
-                    for &low in items {
-                        let wi = (low >> 6) as usize;
-                        if wi >= window.len() {
-                            break;
-                        }
-                        if (window[wi] >> (low & 63)) & 1 != 0 {
-                            f(base | low as usize);
-                        }
-                    }
-                }
-                Container::Runs(runs) => {
-                    let nbits = blocks.len() << 6;
-                    for r in runs {
-                        let lo = base | r.start as usize;
-                        if lo >= nbits {
-                            break;
-                        }
-                        let hi = (base | r.last as usize).min(nbits - 1);
-                        for_each_dense_range(blocks, lo, hi, &mut f);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Writes `self ∩ dense` into `out`, reusing `out`'s allocation
-    /// (`out` is reset to `dense`'s universe first). Returns the
-    /// intersection cardinality. With a pooled `out`, the hot descent
-    /// loop allocates nothing.
-    pub fn intersect_into_dense(&self, dense: &BitSet, out: &mut BitSet) -> usize {
-        out.reset(dense.universe());
-        let mut n = 0;
-        for c in &self.chunks {
-            let word_base = c.key as usize * BITMAP_WORDS;
-            if word_base >= dense.blocks.len() {
-                break;
-            }
-            match &c.container {
-                Container::Bitmap(bm) => {
-                    let end = dense.blocks.len().min(word_base + BITMAP_WORDS);
-                    for (wi, word) in (word_base..end).zip(bm.words.iter()) {
-                        let and = word & dense.blocks[wi];
-                        out.blocks[wi] = and;
-                        n += and.count_ones() as usize;
-                    }
-                }
-                Container::Array(items) => {
-                    let end = dense.blocks.len().min(word_base + BITMAP_WORDS);
-                    for &low in items {
-                        let wi = word_base + (low >> 6) as usize;
-                        if wi >= end {
-                            break;
-                        }
-                        let bit = 1u64 << (low & 63);
-                        if dense.blocks[wi] & bit != 0 {
-                            out.blocks[wi] |= bit;
-                            n += 1;
-                        }
-                    }
-                }
-                Container::Runs(runs) => {
-                    let base = (c.key as usize) << CHUNK_BITS;
-                    let nbits = dense.blocks.len() << 6;
-                    for r in runs {
-                        let lo = base | r.start as usize;
-                        if lo >= nbits {
-                            break;
-                        }
-                        let hi = (base | r.last as usize).min(nbits - 1);
-                        let (ws, we) = (lo >> 6, hi >> 6);
-                        let head = !0u64 << (lo & 63);
-                        let tail = !0u64 >> (63 - (hi & 63));
-                        for wi in ws..=we {
-                            let mut w = dense.blocks[wi];
-                            if wi == ws {
-                                w &= head;
-                            }
-                            if wi == we {
-                                w &= tail;
-                            }
-                            out.blocks[wi] |= w;
-                            n += w.count_ones() as usize;
-                        }
-                    }
-                }
-            }
-        }
-        n
-    }
-
     /// Converts to a dense [`BitSet`] over the given universe.
     ///
     /// # Panics
@@ -609,47 +428,6 @@ impl std::hash::Hash for AdaptiveBitSet {
             c.card.hash(state);
         }
         self.for_each(|v| v.hash(state));
-    }
-}
-
-/// Population of the global bit range `lo..=hi` of a dense block slice.
-/// Callers clamp `hi` below `blocks.len() * 64`; the run-container fused
-/// kernels use this so a contiguous run costs masked popcounts instead
-/// of per-member probes.
-#[inline]
-fn count_dense_range(blocks: &[u64], lo: usize, hi: usize) -> usize {
-    let (ws, we) = (lo >> 6, hi >> 6);
-    let head = !0u64 << (lo & 63);
-    let tail = !0u64 >> (63 - (hi & 63));
-    if ws == we {
-        return (blocks[ws] & head & tail).count_ones() as usize;
-    }
-    let mut n = (blocks[ws] & head).count_ones() as usize;
-    for w in &blocks[ws + 1..we] {
-        n += w.count_ones() as usize;
-    }
-    n + (blocks[we] & tail).count_ones() as usize
-}
-
-/// Calls `f` on each set bit of `blocks` within the global bit range
-/// `lo..=hi`, ascending. Same clamping contract as [`count_dense_range`].
-#[inline]
-fn for_each_dense_range(blocks: &[u64], lo: usize, hi: usize, f: &mut impl FnMut(usize)) {
-    let (ws, we) = (lo >> 6, hi >> 6);
-    let head = !0u64 << (lo & 63);
-    let tail = !0u64 >> (63 - (hi & 63));
-    for (wi, &word) in blocks.iter().enumerate().take(we + 1).skip(ws) {
-        let mut w = word;
-        if wi == ws {
-            w &= head;
-        }
-        if wi == we {
-            w &= tail;
-        }
-        while w != 0 {
-            f((wi << 6) | w.trailing_zeros() as usize);
-            w &= w - 1;
-        }
     }
 }
 
@@ -786,33 +564,12 @@ mod tests {
     }
 
     #[test]
-    fn dense_interop_kernels_agree() {
-        let sparse = AdaptiveBitSet::from_members(vec![0, 63, 64, 65, 127, 128, 199, 70_000]);
-        let dense = BitSet::from_iter_with_universe(200, [63, 64, 100, 199]);
-        assert_eq!(sparse.intersection_count_dense(&dense), 3);
-        let mut got = Vec::new();
-        sparse.for_each_in_intersection_dense(&dense, |v| got.push(v));
-        assert_eq!(got, vec![63, 64, 199]);
-        let mut out = BitSet::new(0);
-        assert_eq!(sparse.intersect_into_dense(&dense, &mut out), 3);
-        assert_eq!(out.universe(), 200);
-        assert_eq!(out.to_vec(), vec![63, 64, 199]);
-    }
-
-    #[test]
-    fn dense_interop_uses_word_paths_on_bitmap_chunks() {
-        // A bitmap chunk (card >= 4096) against a dense universe that
-        // ends mid-chunk: the word-aligned path must clamp correctly.
+    fn to_dense_keeps_bitmap_chunk_members() {
         let sparse = AdaptiveBitSet::from_members((0..5000).map(|v| v * 2).collect());
         assert!(matches!(sparse.chunks[0].container, Container::Bitmap(_)));
-        let dense = BitSet::from_iter_with_universe(7000, (0..7000).filter(|v| v % 3 == 0));
-        let want = (0..3500).filter(|v| (v * 2) % 3 == 0).count();
-        assert_eq!(sparse.intersection_count_dense(&dense), want);
-        let mut out = BitSet::new(0);
-        assert_eq!(sparse.intersect_into_dense(&dense, &mut out), want);
-        assert_eq!(out.count_ones(), want);
-        let d2 = sparse.to_dense(10_000);
-        assert_eq!(d2.count_ones(), 5000);
+        let dense = sparse.to_dense(10_000);
+        assert_eq!(dense.count_ones(), 5000);
+        assert_eq!(dense.to_vec(), sparse.to_vec());
     }
 
     #[test]

@@ -7,24 +7,24 @@
 //! set intersection (paper, Lemma 7), so the dominant operations are:
 //!
 //! * `insert` while occurrence indices are built (Step 2),
-//! * `intersection` / `intersection_count` while specialized patterns are
-//!   enumerated (Step 3),
-//! * iteration over members to count *distinct graphs* (the paper's support
-//!   is per-graph, not per-occurrence).
+//! * `a ∩ b` fused with a count of the *distinct graphs* among its members
+//!   while specialized patterns are enumerated (Step 3 — the paper's
+//!   support is per-graph, not per-occurrence).
 //!
 //! Two set types split the work:
 //!
-//! * [`BitSet`] — a plain `Vec<u64>`-backed fixed-universe bitset for
-//!   bounded, mostly-full working sets (the Step-3 recursion state, scratch
-//!   marking areas, taxonomy closures). Deliberately minimal — no
-//!   compression, no rank/select — because those universes are dense and
-//!   short-lived (one pattern class at a time is in memory, mirroring
-//!   gSpan's depth-first discipline).
+//! * [`BitSet`] — a plain `Vec<u64>`-backed fixed-universe bitset.
+//!   Occurrence sets live here: a class's occurrence universe is its
+//!   embedding count (hundreds to a few thousand on the benchmark
+//!   workloads), so one row is a few dozen words and every Lemma 7
+//!   intersection is a word-parallel AND. Deliberately minimal — no
+//!   compression, no rank/select. [`distinct_monotone_mapped_count`] is
+//!   the support kernel: the distinct graphs of `a ∩ b` under an
+//!   ascending embedding→graph map.
 //! * [`AdaptiveBitSet`] — a Roaring-style chunked set whose per-2¹⁶-chunk
 //!   containers (sorted array / flat bitmap / run intervals) adapt to
-//!   cardinality. Occurrence and candidate sets live here; the fused
-//!   `*_dense` kernels bridge the two types without materializing either
-//!   side.
+//!   cardinality, for sparse sets over large universes (the matcher's
+//!   candidate sets over database vertices).
 
 // tsg-lint: allow(index) — word indices are bit / 64 within the fixed universe the set was created with
 
@@ -153,19 +153,16 @@ impl BitSet {
         self.blocks.iter().all(|&b| b == 0)
     }
 
+    /// Heap bytes of the block vector: ⌈universe / 64⌉ words whatever the
+    /// population.
+    #[inline]
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.blocks[..])
+    }
+
     /// Removes all members, keeping the universe.
     pub fn clear(&mut self) {
         self.blocks.fill(0);
-    }
-
-    /// Re-targets this set to an empty set over `0..nbits`, reusing the
-    /// block allocation. Equivalent to `*self = BitSet::new(nbits)` but
-    /// allocation-free once the set has grown to its high-water universe —
-    /// the primitive behind per-worker bitset pools.
-    pub fn reset(&mut self, nbits: usize) {
-        self.blocks.clear();
-        self.blocks.resize(blocks_for(nbits), 0);
-        self.nbits = nbits;
     }
 
     #[inline]
@@ -189,6 +186,17 @@ impl BitSet {
                 .collect(),
             nbits: self.nbits,
         }
+    }
+
+    /// Writes `self ∩ other` into `out`, re-targeting it to this universe
+    /// and reusing its allocation — with a pooled `out`, the Step-3
+    /// descent allocates nothing.
+    pub fn intersection_into(&self, other: &BitSet, out: &mut BitSet) {
+        self.check_same_universe(other);
+        out.blocks.clear();
+        out.blocks
+            .extend(self.blocks.iter().zip(&other.blocks).map(|(a, b)| a & b));
+        out.nbits = self.nbits;
     }
 
     /// `self ∪ other` as a new set.
@@ -273,20 +281,6 @@ impl BitSet {
         }
     }
 
-    /// Calls `f` for each member of `self ∩ other` in ascending order,
-    /// without allocating.
-    pub fn for_each_in_intersection(&self, other: &BitSet, mut f: impl FnMut(usize)) {
-        self.check_same_universe(other);
-        for (i, (a, b)) in self.blocks.iter().zip(&other.blocks).enumerate() {
-            let mut w = a & b;
-            while w != 0 {
-                let t = w.trailing_zeros() as usize;
-                f(i * BITS + t);
-                w &= w - 1;
-            }
-        }
-    }
-
     /// Collects the members into a vector (mostly for tests and display).
     pub fn to_vec(&self) -> Vec<usize> {
         self.iter().collect()
@@ -340,82 +334,35 @@ impl<'a> IntoIterator for &'a BitSet {
     }
 }
 
-/// Counts the distinct values of `map[occ]` over the members `occ` of
-/// `set`, using `scratch` (cleared on entry) as the marking area.
+/// Counts the distinct values of `map[v]` over the members `v` of
+/// `a ∩ b`, for a **non-decreasing** `map`.
 ///
 /// Taxogram's support is the number of distinct **graphs** containing an
 /// occurrence, while occurrence sets index **embeddings**; `map` is the
-/// embedding→graph projection maintained per pattern class.
+/// class's embedding→graph projection. Every engine numbers a class's
+/// embeddings in ascending graph-id order, so equal graphs sit in one
+/// contiguous run of occurrence ids and the distinct count is the number
+/// of value changes along the ascending walk: one AND per word, set bits
+/// visited by trailing-zero count, and no marking area to clear.
+///
+/// An unsorted `map` makes the result meaningless (a count of runs, not
+/// of distinct values); callers establish the order once per map.
 ///
 /// # Panics
-/// Panics if some member of `set` is out of bounds of `map`, or some mapped
-/// value is out of `scratch`'s universe.
-pub fn distinct_mapped_count(set: &BitSet, map: &[u32], scratch: &mut BitSet) -> usize {
-    scratch.clear();
+/// Panics if some member of `a ∩ b` is out of bounds of `map`.
+pub fn distinct_monotone_mapped_count(a: &BitSet, b: &BitSet, map: &[u32]) -> usize {
+    a.check_same_universe(b);
     let mut n = 0;
-    for occ in set.iter() {
-        if scratch.insert(map[occ] as usize) {
-            n += 1;
+    let mut last = u64::MAX;
+    for (i, (x, y)) in a.blocks.iter().zip(&b.blocks).enumerate() {
+        let mut w = x & y;
+        while w != 0 {
+            let g = u64::from(map[i * BITS + w.trailing_zeros() as usize]);
+            n += usize::from(g != last);
+            last = g;
+            w &= w - 1;
         }
     }
-    n
-}
-
-/// Like [`distinct_mapped_count`] but over `a ∩ b` without materializing it.
-///
-/// Fast path: `scratch` is only cleared once the first common member is
-/// found, so a disjoint pair costs one AND sweep and never touches the
-/// scratch bitset. Empty intersections dominate deep in Step 3's
-/// specialization recursion (most candidate children cover none of the
-/// surviving occurrences), which makes the skipped `O(universe/64)` clear
-/// measurable.
-pub fn distinct_mapped_intersection_count(
-    a: &BitSet,
-    b: &BitSet,
-    map: &[u32],
-    scratch: &mut BitSet,
-) -> usize {
-    let mut n = 0;
-    let mut started = false;
-    a.for_each_in_intersection(b, |occ| {
-        if !started {
-            scratch.clear();
-            started = true;
-        }
-        if scratch.insert(map[occ] as usize) {
-            n += 1;
-        }
-    });
-    n
-}
-
-/// Counts the distinct values of `map[v]` over the members `v` of
-/// `set ∩ dense`, without materializing the intersection — the fused
-/// adaptive-operand form of [`distinct_mapped_intersection_count`], and the
-/// exact shape of Taxogram's Lemma 7 support computation (candidate
-/// occurrence sets are adaptive, the recursion's working set is dense, and
-/// support is per *graph*, via the embedding→graph projection `map`).
-///
-/// The same empty-AND fast path applies: `scratch` is untouched until the
-/// first common member. Bitmap chunks AND word-parallel against the dense
-/// operand's blocks; array and run chunks probe per member.
-pub fn adaptive_dense_distinct_mapped_count(
-    set: &AdaptiveBitSet,
-    dense: &BitSet,
-    map: &[u32],
-    scratch: &mut BitSet,
-) -> usize {
-    let mut n = 0;
-    let mut started = false;
-    set.for_each_in_intersection_dense(dense, |v| {
-        if !started {
-            scratch.clear();
-            started = true;
-        }
-        if scratch.insert(map[v] as usize) {
-            n += 1;
-        }
-    });
     n
 }
 
@@ -513,77 +460,57 @@ mod tests {
     }
 
     #[test]
-    fn for_each_in_intersection_visits_ascending() {
-        let a = BitSet::from_iter_with_universe(150, [3, 70, 149]);
-        let b = BitSet::from_iter_with_universe(150, [3, 71, 149]);
-        let mut seen = vec![];
-        a.for_each_in_intersection(&b, |i| seen.push(i));
-        assert_eq!(seen, vec![3, 149]);
-    }
-
-    #[test]
-    fn distinct_mapped_count_counts_graphs_not_occurrences() {
+    fn distinct_monotone_mapped_count_counts_graphs_not_occurrences() {
         // Occurrences 0..6 live in graphs [0,0,1,1,2,2].
         let map = [0u32, 0, 1, 1, 2, 2];
         let set = BitSet::from_iter_with_universe(6, [0, 1, 2]);
-        let mut scratch = BitSet::new(3);
-        assert_eq!(distinct_mapped_count(&set, &map, &mut scratch), 2);
+        assert_eq!(distinct_monotone_mapped_count(&set, &set, &map), 2);
         let other = BitSet::from_iter_with_universe(6, [1, 5]);
-        assert_eq!(
-            distinct_mapped_intersection_count(&set, &other, &map, &mut scratch),
-            1
-        );
+        assert_eq!(distinct_monotone_mapped_count(&set, &other, &map), 1);
+        let disjoint = BitSet::from_iter_with_universe(6, [3, 4]);
+        assert_eq!(distinct_monotone_mapped_count(&set, &disjoint, &map), 0);
+        // A graph whose occurrences straddle a word boundary counts once.
+        let map: Vec<u32> = (0..130).map(|o| u32::from(o >= 60)).collect();
+        let full = BitSet::full(130);
+        assert_eq!(distinct_monotone_mapped_count(&full, &full, &map), 2);
     }
 
     #[test]
-    fn reset_retargets_universe_in_place() {
-        let mut s = BitSet::from_iter_with_universe(200, [0, 64, 199]);
-        s.reset(70);
-        assert!(s.is_empty());
-        assert_eq!(s.universe(), 70);
-        assert!(s.insert(69));
-        assert!(!s.contains(64 + 64), "old blocks truncated");
-        s.reset(300);
-        assert!(s.is_empty());
-        assert!(s.insert(299));
-        assert_eq!(s.to_vec(), vec![299]);
-        s.reset(0);
-        assert_eq!(s.universe(), 0);
-        assert!(s.is_empty());
+    fn distinct_monotone_mapped_count_edge_universes() {
+        for universe in [0usize, 1, 63, 64, 65, 128, 130] {
+            let full = BitSet::full(universe);
+            let empty = BitSet::new(universe);
+            let single = vec![7u32; universe];
+            let distinct: Vec<u32> = (0..universe as u32).collect();
+            assert_eq!(
+                distinct_monotone_mapped_count(&full, &full, &single),
+                usize::from(universe > 0)
+            );
+            assert_eq!(
+                distinct_monotone_mapped_count(&full, &full, &distinct),
+                universe
+            );
+            assert_eq!(distinct_monotone_mapped_count(&full, &empty, &distinct), 0);
+        }
     }
 
     #[test]
-    fn empty_intersection_leaves_scratch_untouched() {
-        // The fast path must not clear scratch when the AND is empty —
-        // and must still return correct counts despite a dirty scratch.
-        let a = BitSet::from_iter_with_universe(128, [0, 2]);
-        let b = BitSet::from_iter_with_universe(128, [1, 3]);
-        let map = vec![0u32; 128];
-        let mut scratch = BitSet::from_iter_with_universe(4, [1, 2]);
-        assert_eq!(distinct_mapped_intersection_count(&a, &b, &map, &mut scratch), 0);
-        assert_eq!(scratch.to_vec(), vec![1, 2], "scratch untouched on empty AND");
-        let sa: AdaptiveBitSet = [0usize, 2].iter().copied().collect();
-        assert_eq!(adaptive_dense_distinct_mapped_count(&sa, &b, &map, &mut scratch), 0);
-        assert_eq!(scratch.to_vec(), vec![1, 2]);
-        // Non-empty AND with a dirty scratch still counts correctly.
-        let c = BitSet::from_iter_with_universe(128, [2, 3]);
-        assert_eq!(distinct_mapped_intersection_count(&a, &c, &map, &mut scratch), 1);
-        let mut dirty = BitSet::from_iter_with_universe(4, [0]);
-        assert_eq!(adaptive_dense_distinct_mapped_count(&sa, &c, &map, &mut dirty), 1);
+    fn intersection_into_retargets_and_reuses() {
+        let a = BitSet::from_iter_with_universe(130, [0, 64, 129]);
+        let b = BitSet::from_iter_with_universe(130, [64, 100, 129]);
+        let mut out = BitSet::from_iter_with_universe(300, [5, 299]);
+        a.intersection_into(&b, &mut out);
+        assert_eq!(out, a.intersection(&b));
+        assert_eq!(out.universe(), 130);
     }
 
     #[test]
-    fn adaptive_dense_distinct_mapped_count_basic() {
-        // Occurrences 0..6 in graphs [0,0,1,1,2,2].
-        let map = [0u32, 0, 1, 1, 2, 2];
-        let sparse: AdaptiveBitSet = [0usize, 1, 4].iter().copied().collect();
-        let dense = BitSet::from_iter_with_universe(6, [1, 4, 5]);
-        let mut scratch = BitSet::new(3);
-        // Intersection {1, 4} → graphs {0, 2}.
-        assert_eq!(
-            adaptive_dense_distinct_mapped_count(&sparse, &dense, &map, &mut scratch),
-            2
-        );
+    fn heap_bytes_is_one_word_per_64_bits() {
+        assert_eq!(BitSet::new(0).heap_bytes(), 0);
+        assert_eq!(BitSet::new(1).heap_bytes(), 8);
+        assert_eq!(BitSet::full(64).heap_bytes(), 8);
+        assert_eq!(BitSet::new(65).heap_bytes(), 16);
+        assert_eq!(BitSet::new(902).heap_bytes(), 15 * 8);
     }
 
     #[test]
@@ -635,39 +562,17 @@ mod tests {
         }
 
         #[test]
-        fn prop_for_each_in_intersection_agrees(
-            (_, a) in model_and_bits(130),
-            (_, b) in model_and_bits(130),
-        ) {
-            let mut got = vec![];
-            a.for_each_in_intersection(&b, |i| got.push(i));
-            prop_assert_eq!(got, a.intersection(&b).to_vec());
-        }
-
-        #[test]
-        fn prop_fused_distinct_mapped_kernels_match_materialized(
-            (ma, a) in model_and_bits(193),
+        fn prop_distinct_monotone_mapped_count_matches_btreeset_projection(
+            (_, a) in model_and_bits(193),
             (_, b) in model_and_bits(193),
-            graphs in 1usize..12,
+            graphs in 1u32..=193,
         ) {
-            // map[occ] = occ % graphs models the embedding→graph projection.
-            let map: Vec<u32> = (0..193u32).map(|o| o % graphs as u32).collect();
-            let inter = a.intersection(&b);
-            let want = {
-                let mut scratch = BitSet::new(graphs);
-                distinct_mapped_count(&inter, &map, &mut scratch)
-            };
-            let mut scratch = BitSet::full(graphs); // deliberately dirty
-            prop_assert_eq!(
-                distinct_mapped_intersection_count(&a, &b, &map, &mut scratch),
-                want
-            );
-            let sa: AdaptiveBitSet = ma.iter().copied().collect();
-            let mut scratch2 = BitSet::full(graphs); // deliberately dirty
-            prop_assert_eq!(
-                adaptive_dense_distinct_mapped_count(&sa, &b, &map, &mut scratch2),
-                want
-            );
+            // Universe 193 is off the 64-bit grid. `o * graphs / 193` is
+            // non-decreasing with runs of every width: one graph at
+            // `graphs` = 1, every occurrence its own graph at 193.
+            let map: Vec<u32> = (0..193u32).map(|o| o * graphs / 193).collect();
+            let want: BTreeSet<u32> = a.intersection(&b).iter().map(|o| map[o]).collect();
+            prop_assert_eq!(distinct_monotone_mapped_count(&a, &b, &map), want.len());
         }
     }
 }

@@ -3,7 +3,7 @@
 //! the mining kernels feed through these primitives.
 
 use std::collections::BTreeSet;
-use tsg_bitset::{distinct_mapped_count, BitSet};
+use tsg_bitset::{distinct_monotone_mapped_count, BitSet};
 use tsg_graph::NodeLabel;
 use tsg_testkit::gen::{case_count, cases};
 
@@ -46,22 +46,24 @@ fn occurrence_algebra_matches_naive_sets() {
 }
 
 #[test]
-fn distinct_mapped_count_matches_naive_projection() {
-    // Map each graph id to a coarser group (id / 2) — the same shape the
-    // contraction kernels use when several occurrence rows share a class.
+fn distinct_monotone_mapped_count_matches_naive_projection() {
+    // Map each graph id to a coarser group (id / 2): non-decreasing, the
+    // shape of a class's embedding→graph projection.
     for c in cases(BASE_SEED ^ 1, case_count(64)) {
         let map: Vec<u32> = (0..c.db.len() as u32).map(|g| g / 2).collect();
-        let groups = (c.db.len().div_ceil(2)).max(1);
-        let mut scratch = BitSet::new(groups);
-        for l in 0..c.taxonomy.concept_count() {
-            let (bits, naive) = occurrence_set(&c, NodeLabel(l as u32));
-            let want: BTreeSet<_> = naive.iter().map(|&g| map[g]).collect();
-            assert_eq!(
-                distinct_mapped_count(&bits, &map, &mut scratch),
-                want.len(),
-                "seed {:#x} label {l}",
-                c.seed
-            );
+        let sets: Vec<_> = (0..c.taxonomy.concept_count())
+            .map(|l| occurrence_set(&c, NodeLabel(l as u32)))
+            .collect();
+        for (l, (a_bits, a_naive)) in sets.iter().enumerate() {
+            for (b_bits, b_naive) in &sets {
+                let want: BTreeSet<_> = a_naive.intersection(b_naive).map(|&g| map[g]).collect();
+                assert_eq!(
+                    distinct_monotone_mapped_count(a_bits, b_bits, &map),
+                    want.len(),
+                    "seed {:#x} label {l}",
+                    c.seed
+                );
+            }
         }
     }
 }

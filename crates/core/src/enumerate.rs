@@ -40,7 +40,7 @@
 
 use crate::config::Enhancements;
 use crate::oi::{LocalId, OccurrenceIndex};
-use tsg_bitset::BitSet;
+use tsg_bitset::{distinct_monotone_mapped_count, BitSet};
 use tsg_graph::{LabeledGraph, NodeLabel};
 use tsg_iso::{automorphisms, canonical_under_automorphisms, canonical_under_automorphisms_into};
 use tsg_taxonomy::Taxonomy;
@@ -71,16 +71,15 @@ pub struct EmittedPattern<'a> {
     pub support: usize,
 }
 
-/// Reusable per-worker enumeration scratch: the visited set, the graph-id
-/// scratch bitset, the label buffer, the class's pending output, and
-/// pools of dense working sets and work vectors. One `EnumScratch` serves
+/// Reusable per-worker enumeration scratch: the visited set, the label
+/// buffer, the class's pending output, and pools of dense working sets
+/// and work vectors. One `EnumScratch` serves
 /// any number of classes in sequence; after a few classes of warm-up,
 /// enumeration allocates only for visited-set keys (which must be owned
 /// by the set).
 #[derive(Debug, Default)]
 pub struct EnumScratch {
     visited: HashSet<Vec<NodeLabel>>,
-    scratch: BitSet,
     label_buf: Vec<NodeLabel>,
     /// The class's patterns so far, canonical vectors back to back.
     out_labels: Vec<NodeLabel>,
@@ -88,7 +87,8 @@ pub struct EnumScratch {
     out_supports: Vec<usize>,
     /// Emission order: buffer indices sorted by canonical vector.
     out_order: Vec<usize>,
-    /// Retired dense working sets, re-targeted via [`BitSet::reset`].
+    /// Retired dense working sets, re-targeted via
+    /// [`BitSet::intersection_into`].
     dense_pool: Vec<BitSet>,
     /// Retired per-vector descent lists.
     work_pool: Vec<Vec<(usize, LocalId, usize)>>,
@@ -101,9 +101,8 @@ impl EnumScratch {
     }
 
     /// Re-arms the per-class state (pools persist across classes).
-    fn begin_class(&mut self, db_len: usize) {
+    fn begin_class(&mut self) {
         self.visited.clear();
-        self.scratch.reset(db_len);
         self.label_buf.clear();
         self.out_labels.clear();
         self.out_supports.clear();
@@ -193,7 +192,11 @@ pub fn enumerate_class_scratch<F: FnMut(EmittedPattern<'_>)>(
     scratch: &mut EnumScratch,
     mut emit: F,
 ) -> EnumerationStats {
-    scratch.begin_class(db_len);
+    debug_assert!(
+        oi.occ_graph.last().is_none_or(|&g| (g as usize) < db_len),
+        "occurrence graph ids lie inside the database"
+    );
+    scratch.begin_class();
     let mut ctx = Ctx {
         oi,
         min_support,
@@ -208,7 +211,7 @@ pub fn enumerate_class_scratch<F: FnMut(EmittedPattern<'_>)>(
     // deeper equal-occurrence label when enhancement (c)/(d) contracted it.
     let mut v: Vec<LocalId> = oi.entries.iter().map(|e| e.root()).collect();
     let ocs = oi.full_set();
-    let sup = tsg_bitset::distinct_mapped_count(&ocs, &oi.occ_graph, &mut ctx.s.scratch);
+    let sup = distinct_monotone_mapped_count(&ocs, &ocs, &oi.occ_graph);
     ctx.fill_labels(&v);
     let key = canonical_under_automorphisms(&ctx.s.label_buf, &ctx.autos);
     ctx.s.visited.insert(key);
@@ -248,14 +251,9 @@ fn recurse(
         for &child in entry.children(v[pos]) {
             let cset = entry.occs(child);
             ctx.stats.intersections += 1;
-            // Lemma 7: the candidate's support is one adaptive∩dense
+            // Lemma 7: the candidate's support is one word-parallel
             // intersection, fused with the per-graph distinct count.
-            let child_sup = tsg_bitset::adaptive_dense_distinct_mapped_count(
-                cset,
-                ocs,
-                &oi.occ_graph,
-                &mut ctx.s.scratch,
-            );
+            let child_sup = distinct_monotone_mapped_count(cset, ocs, &oi.occ_graph);
             if child_sup == sup {
                 // An equal-support one-step specialization exists; by
                 // Lemma 2 this is the complete over-generalization test.
@@ -303,7 +301,7 @@ fn recurse(
             let mut child_ocs = ctx.s.dense_pool.pop().unwrap_or_default();
             ctx.oi.entries[pos]
                 .occs(child)
-                .intersect_into_dense(ocs, &mut child_ocs);
+                .intersection_into(ocs, &mut child_ocs);
             recurse(ctx, v, &child_ocs, child_sup);
             ctx.s.dense_pool.push(child_ocs);
         }
@@ -325,12 +323,11 @@ fn probe_descendants(
     let mut seen: HashSet<LocalId> = queue.iter().copied().collect();
     while let Some(l) = queue.pop() {
         ctx.stats.intersections += 1;
-        let _ = tsg_bitset::adaptive_dense_distinct_mapped_count(
+        std::hint::black_box(distinct_monotone_mapped_count(
             entry.occs(l),
             ocs,
             &ctx.oi.occ_graph,
-            &mut ctx.s.scratch,
-        );
+        ));
         for &c in entry.children(l) {
             if seen.insert(c) {
                 queue.push(c);

@@ -10,16 +10,19 @@
 //!
 //! Two representation choices matter for performance:
 //!
-//! * **Occurrence sets are adaptive** ([`AdaptiveBitSet`]): most labels
-//!   cover few occurrences and store them as 2-byte sorted arrays, labels
-//!   near the root cover nearly everything and collapse into flat bitmap
-//!   or run containers — so storage stays proportional to content (the
-//!   paper's Lemma 4 bound) rather than `labels × occurrence-universe`,
-//!   while the near-full sets keep word-parallel kernels. Sets are
-//!   [`optimize`](AdaptiveBitSet::optimize)d once at build time (the root
-//!   label's set is the contiguous run `0..universe`, the ideal run
-//!   container). The enumerator's working set stays a dense bitset —
-//!   there is exactly one per recursion level.
+//! * **Occurrence sets are plain bitsets** ([`BitSet`]) over the class's
+//!   occurrence universe `0..U`, `U` being its embedding count. The
+//!   paper already prescribes this ("Taxogram implements occurrence sets
+//!   as bit sets"), and the measured universes agree: at most 2,266 on
+//!   the benchmark workloads, so a row is a few dozen words, construction
+//!   is one bit store per `(occurrence, ancestor)` update, and every
+//!   Lemma 7 intersection is a word-parallel AND fused with the
+//!   distinct-graph count ([`tsg_bitset::distinct_monotone_mapped_count`]).
+//!   That kernel needs `occ_graph` non-decreasing, which
+//!   [`OccurrenceIndex::build`] checks once per class. The trade-off: a
+//!   row costs ⌈U/64⌉ words whatever its population, so a class with
+//!   tens of thousands of embeddings and hundreds of rarely-hit labels
+//!   holds more than a content-proportional encoding would (DESIGN.md §3).
 //! * **Labels are interned per entry** into dense local ids. Entries
 //!   routinely hold hundreds of labels, and hash-mapping every label
 //!   touch dominated index construction before interning; now each label
@@ -29,7 +32,7 @@
 // tsg-lint: allow(index) — occurrence-index rows are indexed by dense entry ids issued during construction of the same index
 
 use std::collections::HashMap;
-use tsg_bitset::{AdaptiveBitSet, BitSet};
+use tsg_bitset::BitSet;
 use tsg_graph::{GraphId, NodeLabel};
 use tsg_gspan::Embedding;
 use tsg_taxonomy::Taxonomy;
@@ -41,8 +44,8 @@ pub type LocalId = u32;
 #[derive(Debug, Clone)]
 pub struct OiNode {
     /// The occurrences of the class whose original label at this position
-    /// is a (reflexive) descendant of this label.
-    pub occs: AdaptiveBitSet,
+    /// is a (reflexive) descendant of this label, over `0..universe`.
+    pub occs: BitSet,
     /// Children of this label *within the entry* (taxonomy children
     /// restricted to covered labels, possibly rewired by contraction), as
     /// local ids.
@@ -84,7 +87,7 @@ impl OiEntry {
 
     /// The occurrence set of a local id.
     #[inline]
-    pub fn occs(&self, id: LocalId) -> &AdaptiveBitSet {
+    pub fn occs(&self, id: LocalId) -> &BitSet {
         &self.nodes[id as usize].occs
     }
 
@@ -119,7 +122,8 @@ impl OiEntry {
     }
 
     /// Approximate heap footprint, for the memory accounting the scaling
-    /// experiments report.
+    /// experiments report and governance budgets: ⌈U/64⌉ words per row,
+    /// plus child lists and the label interning.
     pub fn heap_bytes(&self) -> usize {
         self.nodes
             .iter()
@@ -180,6 +184,11 @@ impl OccurrenceIndex {
     ///
     /// `mg_labels` are the class's most-general labels per pattern node;
     /// `originals[gid][v]` gives pre-relabeling vertex labels.
+    ///
+    /// # Panics
+    /// Panics if `embeddings` are not in ascending graph-id order — the
+    /// order gSpan and the sharded miner's Pass 2b both produce, and the
+    /// one Step 3's support count relies on.
     pub fn build(
         embeddings: &[Embedding],
         originals: &[Vec<NodeLabel>],
@@ -211,6 +220,12 @@ impl OccurrenceIndex {
     ) -> OccurrenceIndex {
         let universe = embeddings.len();
         let occ_graph: Vec<u32> = embeddings.iter().map(|e| e.gid as u32).collect();
+        // Step 3 counts a candidate's graphs as the graph-id changes along
+        // its ascending occurrence ids, which is exact only while
+        // `occ_graph` is non-decreasing. One O(U) pass per class checks it.
+        if occ_graph.windows(2).any(|w| w[0] > w[1]) {
+            panic!("class embeddings out of ascending graph-id order"); // tsg-lint: allow(panic) — internal invariant: gSpan and Pass 2b both emit a class's embeddings by ascending graph id; a break would silently corrupt supports
+        }
         let mut updates = 0usize;
         let mut entries = Vec::with_capacity(mg_labels.len());
         let OiScratch {
@@ -231,7 +246,7 @@ impl OccurrenceIndex {
             }
             let mut index: HashMap<NodeLabel, LocalId> = HashMap::new();
             let mut labels: Vec<NodeLabel> = Vec::new();
-            let mut raw: Vec<Vec<usize>> = Vec::new();
+            let mut nodes: Vec<OiNode> = Vec::new();
             // Iterate originals in label order: interning order — and with
             // it entry-children order and final emission order — becomes
             // deterministic across runs and across the serial/parallel
@@ -246,10 +261,19 @@ impl OccurrenceIndex {
                     let label = NodeLabel(anc_idx as u32);
                     let id = *index.entry(label).or_insert_with(|| {
                         labels.push(label);
-                        raw.push(spare_vecs.pop().unwrap_or_default());
+                        nodes.push(OiNode {
+                            occs: BitSet::new(universe),
+                            children: Vec::new(),
+                            alive: true,
+                        });
                         (labels.len() - 1) as LocalId
                     });
-                    raw[id as usize].extend_from_slice(occs);
+                    // Each occurrence has one original per position and
+                    // each ancestor is visited once, so no bit is set twice.
+                    let row = &mut nodes[id as usize].occs;
+                    for &occ in occs {
+                        row.insert(occ);
+                    }
                     updates += occs.len();
                 }
             }
@@ -257,22 +281,6 @@ impl OccurrenceIndex {
                 v.clear();
                 spare_vecs.push(v);
             }
-            // Container encodings are chosen byte-cheapest at
-            // construction (contiguous near-root occurrence ranges come
-            // out run-encoded); the member buffers return to the scratch
-            // pool for the next entry.
-            let mut nodes: Vec<OiNode> = raw
-                .into_iter()
-                .map(|mut members| {
-                    let occs = AdaptiveBitSet::from_scratch(&mut members);
-                    spare_vecs.push(members);
-                    OiNode {
-                        occs,
-                        children: Vec::new(),
-                        alive: true,
-                    }
-                })
-                .collect();
             // Wire children within the entry, iterating each covered
             // label's *parents* (typically one or two on real ontologies)
             // rather than its taxonomy children (hundreds for top-level
@@ -313,20 +321,6 @@ impl OccurrenceIndex {
     /// The full occurrence set of the class (every bit set).
     pub fn full_set(&self) -> BitSet {
         BitSet::full(self.universe)
-    }
-
-    /// The number of distinct graphs among all occurrences. Walks the
-    /// occurrence→graph projection directly — the full occurrence set is
-    /// by definition all-ones, so materializing it buys nothing.
-    pub fn graph_support(&self, db_len: usize) -> usize {
-        let mut scratch = BitSet::new(db_len);
-        let mut n = 0;
-        for &g in &self.occ_graph {
-            if scratch.insert(g as usize) {
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Approximate heap footprint of all entries.
@@ -412,48 +406,20 @@ fn contract(entry: &mut OiEntry, roots_only: bool) {
     }
 }
 
-/// An order-sensitive fingerprint of a sorted occurrence set; equal sets
-/// always collide, unequal ones almost never do.
-fn set_fingerprint(set: &AdaptiveBitSet) -> u64 {
-    let mut h = set.len() as u64;
-    set.for_each(|o| {
-        h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(o as u64 + 1);
-    });
-    h
-}
-
 /// Partitions the entry's labels into equal-occurrence-set groups: equal
-/// group id ⇔ equal set. Fingerprints bucket the labels; within a bucket
-/// each label is verified element-wise against its subgroup's
-/// representative, so correctness never rests on hash quality.
+/// group id ⇔ equal set. The map hashes each row's words and verifies
+/// every hit by comparing them, so correctness never rests on hash
+/// quality.
 fn equal_set_groups(entry: &OiEntry) -> Vec<u32> {
-    let mut buckets: HashMap<(usize, u64), Vec<LocalId>> = HashMap::new();
-    for (id, node) in entry.nodes.iter().enumerate() {
-        buckets
-            .entry((node.occs.len(), set_fingerprint(&node.occs)))
-            .or_default()
-            .push(id as LocalId);
-    }
-    let mut group_of = vec![0u32; entry.nodes.len()];
-    let mut next_group = 0u32;
-    for (_, members) in buckets {
-        let mut reps: Vec<(LocalId, u32)> = Vec::new();
-        for l in members {
-            let set = &entry.nodes[l as usize].occs;
-            match reps
-                .iter()
-                .find(|(r, _)| entry.nodes[*r as usize].occs == *set)
-            {
-                Some(&(_, g)) => group_of[l as usize] = g,
-                None => {
-                    reps.push((l, next_group));
-                    group_of[l as usize] = next_group;
-                    next_group += 1;
-                }
-            }
-        }
-    }
-    group_of
+    let mut groups: HashMap<&BitSet, u32> = HashMap::with_capacity(entry.nodes.len());
+    entry
+        .nodes
+        .iter()
+        .map(|node| {
+            let next = groups.len() as u32;
+            *groups.entry(&node.occs).or_insert(next)
+        })
+        .collect()
 }
 
 /// If exactly one child of `l` has an occurrence set equal to `l`'s,
@@ -553,7 +519,7 @@ mod tests {
         for entry in &oi.entries {
             assert_eq!(entry.label_of(entry.root()), c.a);
             // Root covers every occurrence.
-            assert_eq!(entry.occs(entry.root()).len(), 8);
+            assert_eq!(entry.occs(entry.root()).count_ones(), 8);
             // b and c are covered (as ancestors of d/b resp. f/g/w/c).
             assert!(entry.contains(c.b));
             assert!(entry.contains(c.c));
@@ -573,7 +539,11 @@ mod tests {
         let b_id = e0.lookup(c.b).unwrap();
         let graphs_of_b = occ_set_graphs(e0.occs(b_id).iter(), &oi.occ_graph);
         assert!(graphs_of_b.contains(&0));
-        assert_eq!(oi.graph_support(3), 3);
+        let full = oi.full_set();
+        assert_eq!(
+            tsg_bitset::distinct_monotone_mapped_count(&full, &full, &oi.occ_graph),
+            3
+        );
     }
 
     #[test]
@@ -605,8 +575,14 @@ mod tests {
         }
     }
 
-    /// Hand-builds an entry from `(label, occurrences, children)` rows.
+    /// Hand-builds an entry from `(label, occurrences, children)` rows,
+    /// every row over the universe its largest occurrence implies.
     fn make_entry(rows: &[(u32, &[usize], &[u32])], root: u32) -> OiEntry {
+        let universe = rows
+            .iter()
+            .flat_map(|(_, occs, _)| occs.iter())
+            .max()
+            .map_or(0, |&m| m + 1);
         let mut index = HashMap::new();
         let mut labels = Vec::new();
         let mut nodes = Vec::new();
@@ -614,7 +590,7 @@ mod tests {
             index.insert(NodeLabel(*label), i as LocalId);
             labels.push(NodeLabel(*label));
             nodes.push(OiNode {
-                occs: AdaptiveBitSet::from_members(occs.to_vec()),
+                occs: BitSet::from_iter_with_universe(universe, occs.iter().copied()),
                 children: children.to_vec(),
                 alive: true,
             });
@@ -625,6 +601,48 @@ mod tests {
             nodes,
             root,
         }
+    }
+
+    #[test]
+    fn heap_bytes_follows_the_dense_row_layout() {
+        let (_, oi) = figure_3_2_index();
+        let words = oi.universe.div_ceil(64);
+        let want: usize = oi
+            .entries
+            .iter()
+            .map(|e| {
+                let children: usize = e.nodes.iter().map(|n| n.children.len()).sum();
+                e.nodes.len() * words * 8
+                    + children * std::mem::size_of::<LocalId>()
+                    + e.labels.len() * (std::mem::size_of::<NodeLabel>() + 16)
+            })
+            .sum::<usize>()
+            + oi.universe * std::mem::size_of::<u32>();
+        assert_eq!(oi.heap_bytes(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of ascending graph-id order")]
+    fn out_of_order_embeddings_are_rejected() {
+        // Two single-vertex embeddings listed graph 1 before graph 0.
+        let (c, t) = samples::sample_taxonomy();
+        let originals = vec![vec![c.d], vec![c.b]];
+        let emb = |gid| tsg_gspan::Embedding {
+            gid,
+            map: vec![0],
+            edges: vec![],
+        };
+        OccurrenceIndex::build(
+            &[emb(1), emb(0)],
+            &originals,
+            &[c.a],
+            &t,
+            OiOptions {
+                frequent: None,
+                contract_equal_sets: false,
+                predescend_roots: false,
+            },
+        );
     }
 
     #[test]

@@ -43,6 +43,13 @@ cargo build --release
 # Tier-1 first (the root package's fast suites), then the full workspace.
 cargo test -q
 cargo test --workspace -q
+
+# Release-mode stage: release builds compile out `debug_assert!` and wrap
+# on integer overflow instead of panicking, so the set kernels and the
+# miner's suites run once more under the profile that ships.
+echo "== release-mode tests (tsg-bitset, taxogram-core) =="
+cargo test --release -q -p tsg-bitset -p taxogram-core
+
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc stage: every intra-doc link must resolve, so a doc comment

@@ -350,6 +350,14 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 r.stats.classes,
                 r.stats.oi_updates
             )?;
+            // Counts only, no times: the line is identical across runs
+            // and across the serial, pipelined and sharded engines.
+            let e = &r.stats.enumeration;
+            writeln!(
+                out,
+                "# step 3: {} vectors, {} intersections, {} over-generalized",
+                e.vectors_visited, e.intersections, e.overgeneralized
+            )?;
             if let Some(s) = &shard_stats {
                 writeln!(
                     out,
@@ -869,6 +877,34 @@ mod tests {
                 "--filter {filter}: sharded listing must match the unsharded one"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn step3_counters_agree_across_engines() {
+        let (dir, taxf, dbf) = ts25("step3");
+        let spills = dir.to_string_lossy().to_string();
+        let base = [
+            "mine", "--taxonomy", &taxf, "--database", &dbf, "--support", "0.4",
+            "--max-edges", "3",
+        ];
+        let step3_line = |extra: &[&str]| -> String {
+            let mut args = base.to_vec();
+            args.extend(extra);
+            let (code, out) = run_capture(&args);
+            assert_eq!(code, 0, "{out}");
+            out.lines()
+                .find(|l| l.starts_with("# step 3: "))
+                .unwrap_or_else(|| panic!("no step 3 line: {out}"))
+                .to_string()
+        };
+        let serial = step3_line(&[]);
+        assert!(!serial.contains("# step 3: 0 vectors"), "{serial}");
+        assert_eq!(step3_line(&["--threads", "2"]), serial);
+        assert_eq!(
+            step3_line(&["--shards", "3", "--spill-dir", &spills]),
+            serial
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
