@@ -1,23 +1,20 @@
 //! Micro-benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * occurrence-set representation: dense bitsets (the paper's choice)
-//!   versus adaptive Roaring-style containers, across set densities;
+//! * occurrence-set intersection on dense bitsets (the paper's choice)
+//!   across set densities;
 //! * generalized vs exact subgraph isomorphism cost (the paper's claim
 //!   that generalized matching is "at least as hard");
 //! * occurrence-index construction cost per embedding;
-//! * fused intersection kernels vs their materialize-then-count
-//!   equivalents (DESIGN.md §8), plus the adaptive containers against
-//!   the retired sorted-vec gallop kernel on Roaring-favorable
-//!   clustered operands (DESIGN.md §13);
+//! * the fused Lemma 7 support kernel on an occurrence-index-shaped row
+//!   (DESIGN.md §8);
 //! * the serial engine vs the streaming pipelined engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tsg_bench::kernels::{baseline_gallop_count, clustered_members, oi_row_workload};
-use tsg_bitset::{AdaptiveBitSet, BitSet};
+use tsg_bitset::BitSet;
 use tsg_datagen::{generate_database, go_like_taxonomy_scaled, GraphGenConfig, LabelPool, Sizing};
 use tsg_iso::{count_embeddings, ExactMatcher, GeneralizedMatcher};
 
-/// Dense vs adaptive occurrence-set intersection at several densities.
+/// Dense occurrence-set intersection at several densities.
 fn occset_representation(c: &mut Criterion) {
     let universe = 20_000usize;
     let mut group = c.benchmark_group("occset_repr");
@@ -27,16 +24,9 @@ fn occset_representation(c: &mut Criterion) {
         let members_b: Vec<usize> = (0..universe).skip(step / 2).step_by(step.max(1)).collect();
         let da = BitSet::from_iter_with_universe(universe, members_a.iter().copied());
         let db = BitSet::from_iter_with_universe(universe, members_b.iter().copied());
-        let sa = AdaptiveBitSet::from_members(members_a);
-        let sb = AdaptiveBitSet::from_members(members_b);
         group.bench_with_input(
             BenchmarkId::new("dense", fill_permille),
             &(&da, &db),
-            |bench, (a, b)| bench.iter(|| a.intersection_count(b)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("adaptive", fill_permille),
-            &(&sa, &sb),
             |bench, (a, b)| bench.iter(|| a.intersection_count(b)),
         );
     }
@@ -124,108 +114,27 @@ fn pipeline_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Lemma 7 support kernel on an occurrence-index-shaped row, the
-/// old skewed sparse∩sparse workload on both the retired sorted-vec
-/// gallop and the adaptive dispatch, and the acceptance-criterion
-/// comparison: adaptive containers vs the retired gallop kernel on
-/// clustered operands with both sides ≥ 4096 members (bitmap/run
-/// territory, where word-parallel AND should win by well over 2×).
+/// An occurrence-index-shaped Step 3 operand pair: a class of 2,048
+/// occurrences over ~1,576 graphs (≈1.3 occurrences per graph, ascending
+/// like every engine's embeddings), one label row holding every third
+/// occurrence, and a working set holding three occurrences in four.
+/// Returns `(row, working set, occurrence→graph map)`.
+fn oi_row_workload() -> (BitSet, BitSet, Vec<u32>) {
+    let universe = 2048usize;
+    let occ_graph: Vec<u32> = (0..universe as u32).map(|o| o * 10 / 13).collect();
+    let row = BitSet::from_iter_with_universe(universe, (0..universe).step_by(3));
+    let working = BitSet::from_iter_with_universe(universe, (0..universe).filter(|o| o % 4 != 0));
+    (row, working, occ_graph)
+}
+
+/// The Lemma 7 support kernel: distinct graphs of an occurrence-index
+/// row ∩ the working set.
 fn fused_kernels(c: &mut Criterion) {
-    let universe = 20_000usize;
     let mut group = c.benchmark_group("fused");
-    // Lemma 7's unit of work: distinct graphs of an occurrence-index
-    // row ∩ the working set.
     let (row, working, occ_graph) = oi_row_workload();
     group.bench_function("oi_row_distinct_graphs", |b| {
         b.iter(|| tsg_bitset::distinct_monotone_mapped_count(&row, &working, &occ_graph));
     });
-    // Skewed sparse∩sparse: 64 members probing 20k. The retired kernel
-    // keeps its historical name for BENCH continuity; the adaptive
-    // dispatch runs the same operands (the 20k side is bitmap-encoded).
-    let small_members: Vec<usize> = (0..universe).step_by(universe / 64).collect();
-    let large_members: Vec<usize> = (0..universe).collect();
-    let small: AdaptiveBitSet = small_members.iter().copied().collect();
-    let large: AdaptiveBitSet = large_members.iter().copied().collect();
-    group.bench_function("sparse_sparse_gallop", |b| {
-        b.iter(|| baseline_gallop_count(&small_members, &large_members));
-    });
-    group.bench_function("adaptive_small_probe_large", |b| {
-        b.iter(|| small.intersection_count(&large));
-    });
-    // Acceptance criterion: clustered, both sides ≥ 4096.
-    let (ca, cb) = clustered_members();
-    let ra: AdaptiveBitSet = ca.iter().copied().collect();
-    let rb: AdaptiveBitSet = cb.iter().copied().collect();
-    group.bench_function("roaring_clustered_count", |b| {
-        b.iter(|| ra.intersection_count(&rb));
-    });
-    group.bench_function("gallop_baseline_clustered", |b| {
-        b.iter(|| baseline_gallop_count(&ca, &cb));
-    });
-    group.finish();
-}
-
-/// The adaptive array×array dispatch against both forced kernels, in
-/// both regimes it must cover: comparable sizes (linear merge should
-/// win) and heavy skew (galloping should win). The ratio sweep brackets
-/// the `GALLOP_RATIO = 16` crossover so a regression in either kernel —
-/// or a misplaced threshold — shows up directly.
-///
-/// Every set here keeps per-chunk cardinality below `BITMAP_MIN` so the
-/// containers stay arrays and the merge/gallop pair is actually what
-/// runs; bigger sets would silently promote to bitmaps and measure a
-/// different kernel.
-fn sparse_intersection_regimes(c: &mut Criterion) {
-    let universe = 65_536usize;
-    let card = 4_000usize; // < ARRAY_MAX: one array container per set
-    let mut group = c.benchmark_group("sparse_regimes");
-    // Regime 1: comparable sizes (ratio 1): two ~4k-member arrays.
-    let a: AdaptiveBitSet = (0..universe).step_by(16).take(card).collect();
-    let b: AdaptiveBitSet = (8..universe)
-        .step_by(16)
-        .take(card / 2)
-        .chain((0..universe).step_by(32).take(card / 2))
-        .collect();
-    group.bench_function("comparable/adaptive", |bench| {
-        bench.iter(|| a.intersection_count(&b));
-    });
-    group.bench_function("comparable/merge", |bench| {
-        bench.iter(|| a.intersection_count_merge(&b));
-    });
-    group.bench_function("comparable/gallop", |bench| {
-        bench.iter(|| a.intersection_count_gallop(&b));
-    });
-    // Regime 2: heavy skew (ratio ~31): 128 members probing 4k.
-    let small: AdaptiveBitSet = (0..universe).step_by(512).collect();
-    let large: AdaptiveBitSet = (0..universe).step_by(16).take(card).collect();
-    group.bench_function("skewed/adaptive", |bench| {
-        bench.iter(|| small.intersection_count(&large));
-    });
-    group.bench_function("skewed/merge", |bench| {
-        bench.iter(|| small.intersection_count_merge(&large));
-    });
-    group.bench_function("skewed/gallop", |bench| {
-        bench.iter(|| small.intersection_count_gallop(&large));
-    });
-    // Ratio sweep across the crossover: the large side is fixed at 4k
-    // members; the small side shrinks by the sweep ratio.
-    let large: AdaptiveBitSet = (0..universe).step_by(16).take(card).collect();
-    for ratio in [4usize, 8, 16, 32, 64] {
-        let small: AdaptiveBitSet = (0..universe)
-            .step_by(16 * ratio)
-            .take(card / ratio)
-            .collect();
-        group.bench_with_input(
-            BenchmarkId::new("sweep_merge", ratio),
-            &(&small, &large),
-            |bench, (s, l)| bench.iter(|| s.intersection_count_merge(l)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sweep_gallop", ratio),
-            &(&small, &large),
-            |bench, (s, l)| bench.iter(|| s.intersection_count_gallop(l)),
-        );
-    }
     group.finish();
 }
 
@@ -268,7 +177,6 @@ criterion_group!(
     iso_cost,
     pipeline_overhead,
     fused_kernels,
-    sparse_intersection_regimes,
     engines
 );
 criterion_main!(micro);

@@ -16,7 +16,10 @@
 //!
 //! The `governed` experiment runs the serial and pipelined engines on
 //! D1000/θ=0.2 under a resource budget and reports the truthful
-//! termination of each:
+//! termination of each, next to the serial engine with governance off
+//! and the governed serial run's overhead over it (median ratio of
+//! back-to-back pairs; with no budget flags this is the pure cost of
+//! governance):
 //!
 //! ```text
 //! cargo run --release -p tsg-bench --bin experiments -- --exp governed --time-limit 0.5
@@ -223,7 +226,8 @@ fn main() {
         section(
             "Governed runs (beyond the paper) — serial and pipelined under one budget on D1000",
         );
-        let rows: Vec<Vec<String>> = exp::governed(&profile, threads, &govern)
+        let (rows, overhead_pct) = exp::governed(&profile, threads, &govern);
+        let rows: Vec<Vec<String>> = rows
             .into_iter()
             .map(|r| {
                 vec![
@@ -243,6 +247,12 @@ fn main() {
                 &rows
             )
         );
+        match overhead_pct {
+            Some(pct) => {
+                println!("governance overhead (serial, governed vs ungoverned): {pct:+.2}%");
+            }
+            None => println!("governance overhead: n/a (the budget stopped the serial run)"),
+        }
     }
     if want("ablation") {
         section("Ablation (beyond the paper) — per-enhancement cost on D2000");

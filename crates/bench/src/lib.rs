@@ -7,7 +7,6 @@
 //! EXPERIMENTS.md at the workspace root for measured-vs-paper results.
 
 pub mod experiments;
-pub mod kernels;
 pub mod profile;
 pub mod report;
 pub mod taxscale;

@@ -1,9 +1,8 @@
 //! Taxonomy-scaling measurements: how the interval-labeled reachability
 //! layer behaves at 10⁵–10⁶ concepts.
 //!
-//! One measurement function shared by the `taxonomy_scale` binary (CI
-//! smoke stage and standalone reports) and the `taxonomy_scale` stanza
-//! of `bench_snapshot`. Everything here is hand-rolled `Instant` timing
+//! The measurement behind the `taxonomy_scale` binary (CI smoke stage
+//! and standalone reports). Everything here is hand-rolled `Instant` timing
 //! over generated [`tsg_datagen::generate_scaled_taxonomy`] inputs; the
 //! query timings run millions of iterations per sample so per-call costs
 //! resolve at nanosecond granularity.
@@ -156,8 +155,7 @@ pub fn spot_check(t: &Taxonomy) {
 }
 
 impl TaxScaleRow {
-    /// The row as a JSON object (hand-rolled, matching `bench_snapshot`'s
-    /// style), indented by `indent` spaces.
+    /// The row as a hand-rolled JSON object, indented by `indent` spaces.
     pub fn to_json(&self, indent: usize) -> String {
         let pad = " ".repeat(indent);
         format!(

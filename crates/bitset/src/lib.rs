@@ -11,31 +11,20 @@
 //!   while specialized patterns are enumerated (Step 3 — the paper's
 //!   support is per-graph, not per-occurrence).
 //!
-//! Two set types split the work:
-//!
-//! * [`BitSet`] — a plain `Vec<u64>`-backed fixed-universe bitset.
-//!   Occurrence sets live here: a class's occurrence universe is its
-//!   embedding count (hundreds to a few thousand on the benchmark
-//!   workloads), so one row is a few dozen words and every Lemma 7
-//!   intersection is a word-parallel AND. Deliberately minimal — no
-//!   compression, no rank/select. [`distinct_monotone_mapped_count`] is
-//!   the support kernel: the distinct graphs of `a ∩ b` under an
-//!   ascending embedding→graph map.
-//! * [`AdaptiveBitSet`] — a Roaring-style chunked set whose per-2¹⁶-chunk
-//!   containers (sorted array / flat bitmap / run intervals) adapt to
-//!   cardinality, for sparse sets over large universes (the matcher's
-//!   candidate sets over database vertices).
+//! [`BitSet`] is a plain `Vec<u64>`-backed fixed-universe bitset.
+//! Occurrence sets live here: a class's occurrence universe is its
+//! embedding count (hundreds to a few thousand on the benchmark
+//! workloads), so one row is a few dozen words and every Lemma 7
+//! intersection is a word-parallel AND. Deliberately minimal — no
+//! compression, no rank/select. [`distinct_monotone_mapped_count`] is the
+//! support kernel: the distinct graphs of `a ∩ b` under an ascending
+//! embedding→graph map. The matcher's candidate sets (vertex ids of one
+//! database graph) use the same type over `0..node_count`.
 
 // tsg-lint: allow(index) — word indices are bit / 64 within the fixed universe the set was created with
 
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
-
-mod adaptive;
-mod container;
-
-pub use adaptive::AdaptiveBitSet;
-pub use container::{ARRAY_MAX, BITMAP_MIN, BITMAP_WORDS, GALLOP_RATIO};
 
 const BITS: usize = u64::BITS as usize;
 
@@ -269,7 +258,10 @@ impl BitSet {
     /// `true` iff the sets share at least one member.
     pub fn intersects(&self, other: &BitSet) -> bool {
         self.check_same_universe(other);
-        self.blocks.iter().zip(&other.blocks).any(|(a, b)| a & b != 0)
+        self.blocks
+            .iter()
+            .zip(&other.blocks)
+            .any(|(a, b)| a & b != 0)
     }
 
     /// Iterates members in ascending order.

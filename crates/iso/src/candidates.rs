@@ -11,49 +11,40 @@
 //! *label*, not the pattern.
 //!
 //! [`CandidateCache`] batches the work per (target, matcher) pair: a
-//! one-time index of each distinct target label to the
-//! [`AdaptiveBitSet`] of vertices carrying it, plus a memo from pattern
-//! label to the union of compatible label sets. The memo key is the
-//! pattern *label*, not the pattern, so it never needs invalidation as a
-//! pattern class grows: a rightmost extension that introduces a new
-//! label lazily adds one entry, and every label already seen is a hit.
-//! Selectivity ordering reads cardinalities straight off the cached
-//! sets' container metadata, and component starts iterate the candidate
-//! set instead of scanning every target vertex — in the same ascending
-//! vertex order, so embeddings come out byte-identical to the plain
-//! path.
+//! one-time index of each distinct target label to the ascending list of
+//! vertices carrying it, plus a memo from pattern label to the dense
+//! [`BitSet`] (over `0..node_count`) of compatible vertices. The memo key
+//! is the pattern *label*, not the pattern, so it never needs
+//! invalidation as a pattern class grows: a rightmost extension that
+//! introduces a new label lazily adds one entry, and every label already
+//! seen is a hit. Selectivity ordering counts the cached sets' bits, and
+//! component starts iterate the candidate set instead of scanning every
+//! target vertex — in the same ascending vertex order, so embeddings come
+//! out byte-identical to the plain path.
 
 use crate::LabelMatcher;
 use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::rc::Rc;
-use tsg_bitset::AdaptiveBitSet;
+use tsg_bitset::BitSet;
 use tsg_graph::{GraphDatabase, GraphId, LabeledGraph, NodeId, NodeLabel};
 
-/// Per-target index: each distinct vertex label mapped to the set of
-/// target vertices carrying it.
+/// Per-target index: each distinct vertex label mapped to the ascending
+/// list of target vertices carrying it.
 struct LabelIndex {
-    labels: Vec<(NodeLabel, AdaptiveBitSet)>,
+    labels: Vec<(NodeLabel, Vec<NodeId>)>,
 }
 
 impl LabelIndex {
     fn build(g: &LabeledGraph) -> Self {
-        let mut labels: Vec<(NodeLabel, AdaptiveBitSet)> = Vec::new();
-        // Vertices arrive in ascending id order, so each label's set is
-        // built with ascending pushes.
+        let mut labels: Vec<(NodeLabel, Vec<NodeId>)> = Vec::new();
+        // Vertices arrive in ascending id order, so each list stays sorted.
         for v in 0..g.node_count() {
             let l = g.label(v);
             match labels.binary_search_by_key(&l, |(k, _)| *k) {
-                Ok(i) => labels[i].1.push_ascending(v), // tsg-lint: allow(index) — Ok(i) from binary_search is in bounds
-                Err(i) => {
-                    let mut s = AdaptiveBitSet::new();
-                    s.push_ascending(v);
-                    labels.insert(i, (l, s));
-                }
+                Ok(i) => labels[i].1.push(v), // tsg-lint: allow(index) — Ok(i) from binary_search is in bounds
+                Err(i) => labels.insert(i, (l, vec![v])),
             }
-        }
-        for (_, s) in &mut labels {
-            s.optimize();
         }
         LabelIndex { labels }
     }
@@ -68,7 +59,7 @@ pub struct CandidateCache<'a, M: LabelMatcher> {
     target: &'a LabeledGraph,
     matcher: &'a M,
     index: LabelIndex,
-    memo: RefCell<Vec<(NodeLabel, Rc<AdaptiveBitSet>)>>,
+    memo: RefCell<Vec<(NodeLabel, Rc<BitSet>)>>,
 }
 
 impl<'a, M: LabelMatcher> CandidateCache<'a, M> {
@@ -96,29 +87,22 @@ impl<'a, M: LabelMatcher> CandidateCache<'a, M> {
     /// The set of target vertices compatible with pattern label
     /// `pattern_label` — memoized, so repeat lookups are a binary search
     /// and an `Rc` clone.
-    pub fn candidates(&self, pattern_label: NodeLabel) -> Rc<AdaptiveBitSet> {
+    pub fn candidates(&self, pattern_label: NodeLabel) -> Rc<BitSet> {
         let mut memo = self.memo.borrow_mut();
         match memo.binary_search_by_key(&pattern_label, |(k, _)| *k) {
             Ok(i) => memo[i].1.clone(), // tsg-lint: allow(index) — Ok(i) from binary_search is in bounds
             Err(i) => {
-                let mut acc = AdaptiveBitSet::new();
-                for (tl, set) in &self.index.labels {
+                let mut acc = BitSet::new(self.target.node_count());
+                for (tl, vertices) in &self.index.labels {
                     if self.matcher.node_match(pattern_label, *tl) {
-                        acc.union_with(set);
+                        acc.extend(vertices.iter().copied());
                     }
                 }
-                acc.optimize();
                 let rc = Rc::new(acc);
                 memo.insert(i, (pattern_label, rc.clone()));
                 rc
             }
         }
-    }
-
-    /// How many target vertices are compatible with `pattern_label` —
-    /// read from the cached set's container metadata, not recounted.
-    pub fn candidate_count(&self, pattern_label: NodeLabel) -> usize {
-        self.candidates(pattern_label).len()
     }
 }
 

@@ -22,7 +22,7 @@
 //! the per-label candidate-set computation across all of them: the
 //! `*_cached` entry points produce byte-identical embeddings while
 //! reading candidate sets — and their cardinalities, for selectivity
-//! ordering — from adaptive set containers built once per target.
+//! ordering — from dense vertex bitsets built once per target label.
 
 mod automorphism;
 mod candidates;

@@ -6,7 +6,7 @@ use crate::candidates::CandidateCache;
 use crate::{ExactMatcher, GeneralizedMatcher, LabelMatcher};
 use std::ops::ControlFlow;
 use std::rc::Rc;
-use tsg_bitset::AdaptiveBitSet;
+use tsg_bitset::BitSet;
 use tsg_graph::{GraphDatabase, LabeledGraph, NodeId};
 use tsg_taxonomy::Taxonomy;
 
@@ -85,7 +85,7 @@ fn order_from_counts(pattern: &LabeledGraph, candidates: &[usize]) -> Vec<NodeId
 /// vertex order, so the embedding stream is identical.
 enum CandidateSource {
     Scan,
-    Sets(Vec<Rc<AdaptiveBitSet>>),
+    Sets(Vec<Rc<BitSet>>),
 }
 
 struct Searcher<'a, M: LabelMatcher, F: FnMut(&[NodeId]) -> ControlFlow<()>> {
@@ -237,10 +237,10 @@ pub fn enumerate_embeddings<M: LabelMatcher>(
 
 /// [`enumerate_embeddings`] through a [`CandidateCache`]: candidate sets
 /// come from the cache (computed once per distinct pattern label over
-/// the cache's lifetime), selectivity ordering reads their cardinalities
-/// from container metadata, and component starts iterate the candidate
-/// set instead of scanning every target vertex. Produces the same
-/// embeddings in the same order as the plain path.
+/// the cache's lifetime), selectivity ordering counts their members, and
+/// component starts iterate the candidate set instead of scanning every
+/// target vertex. Produces the same embeddings in the same order as the
+/// plain path.
 pub fn enumerate_embeddings_cached<M: LabelMatcher>(
     pattern: &LabeledGraph,
     cache: &CandidateCache<'_, M>,
@@ -268,7 +268,7 @@ pub fn enumerate_embeddings_cached<M: LabelMatcher>(
         if set.is_empty() {
             return; // no compatible target vertex for this pattern vertex
         }
-        counts.push(set.len());
+        counts.push(set.count_ones());
         sets.push(set);
     }
     let order = order_from_counts(pattern, &counts);
@@ -594,37 +594,51 @@ mod tests {
     fn cached_path_is_byte_identical_to_plain_path() {
         let tax = taxonomy_from_edges(4, [(1, 0), (2, 0), (3, 1)]).unwrap();
         let gm = GeneralizedMatcher::new(&tax);
-        let mut ring = LabeledGraph::with_nodes([nl(1), nl(2), nl(3), nl(1), nl(2)]);
-        for i in 0..5 {
-            ring.add_edge(i, (i + 1) % 5, el(i as u32 % 2)).unwrap();
-        }
+        // A 5-vertex ring fits one bitset word; the 130-vertex ring makes
+        // every candidate set span three.
+        let ring = |n: usize| {
+            let mut g = LabeledGraph::with_nodes((0..n).map(|i| nl([1, 2, 3, 1, 2][i % 5])));
+            for i in 0..n {
+                g.add_edge(i, (i + 1) % n, el(i as u32 % 2)).unwrap();
+            }
+            g
+        };
         let patterns = vec![
             path(&[0, 0], &[0]),
             path(&[1, 0, 2], &[0, 1]),
             path(&[0, 0, 0], &[0, 0]),
             path(&[3, 1], &[1]),
         ];
-        let cache = crate::candidates::CandidateCache::new(&ring, &gm);
-        for p in &patterns {
-            // Same embeddings in the same order, not just the same set.
-            let mut plain: Vec<Embedding> = vec![];
-            enumerate_embeddings(p, &ring, &gm, |e| {
-                plain.push(e.to_vec());
-                ControlFlow::Continue(())
-            });
-            let mut cached: Vec<Embedding> = vec![];
-            enumerate_embeddings_cached(p, &cache, |e| {
-                cached.push(e.to_vec());
-                ControlFlow::Continue(())
-            });
-            assert_eq!(plain, cached, "pattern {p:?}");
+        for target in [ring(5), ring(130)] {
+            let cache = crate::candidates::CandidateCache::new(&target, &gm);
+            let mut top = 0;
+            for p in &patterns {
+                // Same embeddings in the same order, not just the same set.
+                let mut plain: Vec<Embedding> = vec![];
+                enumerate_embeddings(p, &target, &gm, |e| {
+                    plain.push(e.to_vec());
+                    ControlFlow::Continue(())
+                });
+                let mut cached: Vec<Embedding> = vec![];
+                enumerate_embeddings_cached(p, &cache, |e| {
+                    cached.push(e.to_vec());
+                    ControlFlow::Continue(())
+                });
+                assert_eq!(plain, cached, "pattern {p:?}");
+                top = cached.iter().flatten().fold(top, |m, &v| m.max(v));
+                assert_eq!(
+                    contains_subgraph(p, &target, &gm),
+                    contains_subgraph_cached(p, &cache)
+                );
+                assert_eq!(
+                    count_embeddings(p, &target, &gm),
+                    count_embeddings_cached(p, &cache)
+                );
+            }
             assert_eq!(
-                contains_subgraph(p, &ring, &gm),
-                contains_subgraph_cached(p, &cache)
-            );
-            assert_eq!(
-                count_embeddings(p, &ring, &gm),
-                count_embeddings_cached(p, &cache)
+                top,
+                target.node_count() - 1,
+                "embeddings reach the last word"
             );
         }
     }

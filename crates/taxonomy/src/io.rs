@@ -184,7 +184,8 @@ pub fn read_ncbi_nodes(text: &str) -> Result<NcbiTaxonomy, GraphError> {
     let parse = |line: usize, msg: String| GraphError::Parse { line, msg };
 
     let mut tax_ids: Vec<u64> = Vec::new();
-    let mut parent_ids: Vec<u64> = Vec::new();
+    // (parent tax_id, source line) per record, for errors found after the scan.
+    let mut parents: Vec<(u64, usize)> = Vec::new();
     let mut ranks: Vec<String> = Vec::new();
     let mut index: std::collections::HashMap<u64, NodeLabel> =
         std::collections::HashMap::new();
@@ -210,24 +211,24 @@ pub fn read_ncbi_nodes(text: &str) -> Result<NcbiTaxonomy, GraphError> {
             return Err(parse(lineno, format!("duplicate tax_id {tax_id}")));
         }
         tax_ids.push(tax_id);
-        parent_ids.push(parent);
+        parents.push((parent, lineno));
         ranks.push(rank);
     }
 
     let mut builder = TaxonomyBuilder::with_concepts(tax_ids.len());
-    for (i, &parent) in parent_ids.iter().enumerate() {
-        if parent == tax_ids[i] { // tsg-lint: allow(index) — i enumerates parent_ids, built in lockstep with tax_ids
+    for (i, &(parent, lineno)) in parents.iter().enumerate() {
+        if parent == tax_ids[i] { // tsg-lint: allow(index) — i enumerates parents, built in lockstep with tax_ids
             continue; // the dump's self-parented root
         }
         let Some(&p) = index.get(&parent) else {
             return Err(parse(
-                i + 1,
+                lineno,
                 format!("parent tax_id {parent} never declared"),
             ));
         };
         builder
             .is_a(NodeLabel(i as u32), p)
-            .map_err(|e| parse(i + 1, e.to_string()))?;
+            .map_err(|e| parse(lineno, e.to_string()))?;
     }
     let taxonomy = builder
         .build()
@@ -430,13 +431,15 @@ mod tests {
             read_ncbi_nodes("1|1|r\n1|1|r\n").unwrap_err(),
             GraphError::Parse { line: 2, .. }
         ));
-        let err = read_ncbi_nodes("1|1|r\n5|99|r\n").unwrap_err();
-        match err {
-            GraphError::Parse { line, msg } => {
-                assert_eq!(line, 2);
-                assert!(msg.contains("never declared"), "{msg}");
+        // The reported line is the record's own, past any blank line.
+        for (text, want) in [("1|1|r\n5|99|r\n", 2), ("1|1|r\n\n5|99|r\n", 3)] {
+            match read_ncbi_nodes(text).unwrap_err() {
+                GraphError::Parse { line, msg } => {
+                    assert_eq!(line, want, "{text:?}");
+                    assert!(msg.contains("never declared"), "{msg}");
+                }
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
     }
 

@@ -191,46 +191,6 @@ pub fn case_count(dflt: usize) -> usize {
         .unwrap_or(dflt)
 }
 
-/// A sorted, deduplicated member list over `0..universe` shaped for
-/// set-container testing: uniform scatter plus a few contiguous runs
-/// whose lengths deliberately straddle the adaptive containers'
-/// array↔bitmap promotion boundary (4096 members per 2^16 chunk) and the
-/// chunk edges themselves. Used by the `AdaptiveBitSet` equivalence
-/// suite; plain `Vec<usize>` so this crate needs no bitset dependency.
-pub fn arb_members(universe: usize) -> impl Strategy<Value = Vec<usize>> {
-    let singles = prop::collection::vec(0..universe, 0..192);
-    // Run lengths up to 5000 cross the 4096 promotion threshold inside
-    // one chunk; starts near a multiple of 65536 make runs span chunks.
-    let runs = prop::collection::vec((0..universe, 1..5000usize), 0..4);
-    let near_chunk_edges = prop::collection::vec(0..8usize, 0..6);
-    (singles, runs, near_chunk_edges).prop_map(move |(mut m, runs, edges)| {
-        for (start, len) in runs {
-            m.extend(start..(start + len).min(universe));
-        }
-        for e in edges {
-            let v = (e + 1) * (1 << 16);
-            // Both sides of a chunk boundary, clamped to the universe.
-            if v < universe {
-                m.push(v);
-            }
-            if v - 1 < universe {
-                m.push(v - 1);
-            }
-        }
-        m.sort_unstable();
-        m.dedup();
-        m
-    })
-}
-
-/// A mutation script for set-container testing: `(insert, value)` ops
-/// over `0..universe`, insert-biased so sets actually grow through the
-/// promotion boundary before removals drag them back down.
-pub fn arb_set_ops(universe: usize, max_ops: usize) -> impl Strategy<Value = Vec<(bool, usize)>> {
-    prop::collection::vec((0..4usize, 0..universe), 0..max_ops)
-        .prop_map(|ops| ops.into_iter().map(|(k, v)| (k != 0, v)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
