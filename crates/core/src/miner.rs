@@ -4,11 +4,11 @@ use crate::config::TaxogramConfig;
 use crate::enumerate::EnumerationStats;
 use crate::error::TaxogramError;
 use crate::govern::{GovernOptions, Governor, MiningOutcome, Termination};
-use crate::oi::{OccurrenceIndex, OiOptions};
+use crate::oi::{OccurrenceIndex, OiOptions, OiScratch};
 use crate::relabel::relabel;
 use tsg_bitset::BitSet;
 use tsg_graph::{GraphDatabase, LabeledGraph};
-use tsg_gspan::{GSpan, GSpanConfig, Grow, MinedPattern, PatternSink};
+use tsg_gspan::{GSpan, GSpanConfig, GSpanStats, Grow, MinedPattern, PatternSink};
 use tsg_taxonomy::Taxonomy;
 
 /// A mined taxonomy-superimposed pattern.
@@ -28,6 +28,11 @@ pub struct Pattern {
 pub struct MiningStats {
     /// Pattern classes mined from the relabeled database (Step 2).
     pub classes: usize,
+    /// Step 2's extension counters: keys counted, dropped as infrequent
+    /// or non-minimal, and embeddings grown. Identical for the serial and
+    /// pipelined engines; zero for the sharded miner, whose Pass 1 mines
+    /// shards rather than the database.
+    pub gspan: GSpanStats,
     /// Occurrence-index update operations (Lemma 5's cost unit).
     pub oi_updates: usize,
     /// Peak approximate heap footprint of *concurrently resident*
@@ -191,8 +196,9 @@ impl Taxogram {
             stats: MiningStats::default(),
             governor,
             rejected: None,
+            oi_scratch: OiScratch::new(),
         };
-        GSpan::new(
+        let gspan = GSpan::new(
             &rel.dmg,
             GSpanConfig {
                 min_support,
@@ -200,6 +206,7 @@ impl Taxogram {
             },
         )
         .mine(&mut sink);
+        sink.stats.gspan = gspan;
 
         // Classes are admitted in canonical pre-order on this one thread,
         // so at most one class — the rejected one — is ever abandoned,
@@ -233,6 +240,8 @@ struct ClassSink<'a> {
     governor: &'a Governor,
     /// DFS code of the class rejected at admission, if the run stopped.
     rejected: Option<String>,
+    /// Index-construction scratch, reused by every class of the run.
+    oi_scratch: OiScratch,
 }
 
 impl PatternSink for ClassSink<'_> {
@@ -247,7 +256,7 @@ impl PatternSink for ClassSink<'_> {
         self.stats.classes += 1;
         self.stats.occurrences += class.embeddings.len();
         let t_oi = std::time::Instant::now();
-        let oi = OccurrenceIndex::build(
+        let oi = OccurrenceIndex::build_with_scratch(
             class.embeddings,
             &self.rel.originals,
             class.graph.labels(),
@@ -257,6 +266,7 @@ impl PatternSink for ClassSink<'_> {
                 contract_equal_sets: self.config.enhancements.contract_equal_sets,
                 predescend_roots: self.config.enhancements.predescend_roots,
             },
+            &mut self.oi_scratch,
         );
         self.stats.oi_build_ms += t_oi.elapsed().as_secs_f64() * 1000.0;
         self.stats.oi_updates += oi.updates;

@@ -23,10 +23,12 @@
 //!   row costs ⌈U/64⌉ words whatever its population, so a class with
 //!   tens of thousands of embeddings and hundreds of rarely-hit labels
 //!   holds more than a content-proportional encoding would (DESIGN.md §3).
-//! * **Labels are interned per entry** into dense local ids. Entries
-//!   routinely hold hundreds of labels, and hash-mapping every label
-//!   touch dominated index construction before interning; now each label
-//!   pays one hash insertion, and construction, contraction, and child
+//! * **Labels are interned per entry** into dense local ids, through a
+//!   per-concept slot array in [`OiScratch`]: each `(original, ancestor)`
+//!   visit is one array load, not a hash lookup. Entries routinely hold
+//!   hundreds of labels while a class visits hundreds of thousands of
+//!   ancestors, so only the entry's own lookup table pays a hash
+//!   insertion, once per label; construction, contraction, and child
 //!   iteration run on dense vectors.
 
 // tsg-lint: allow(index) — occurrence-index rows are indexed by dense entry ids issued during construction of the same index
@@ -41,7 +43,7 @@ use tsg_taxonomy::Taxonomy;
 pub type LocalId = u32;
 
 /// One taxonomy label's slot inside an OIE.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OiNode {
     /// The occurrences of the class whose original label at this position
     /// is a (reflexive) descendant of this label, over `0..universe`.
@@ -56,7 +58,7 @@ pub struct OiNode {
 
 /// The occurrence index entry of one pattern node: a sub-taxonomy rooted
 /// at the node's most-general label, with labels interned to local ids.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OiEntry {
     index: HashMap<NodeLabel, LocalId>,
     labels: Vec<NodeLabel>,
@@ -134,7 +136,7 @@ impl OiEntry {
 }
 
 /// The occurrence index of one pattern class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccurrenceIndex {
     /// Number of occurrences (embeddings) of the class — the bitset
     /// universe.
@@ -163,14 +165,24 @@ pub struct OiOptions<'a> {
 }
 
 /// Reusable per-worker scratch for index construction: the by-original
-/// grouping table and its retired occurrence vectors. One `OiScratch`
-/// serves any number of classes in sequence; the grouping hash table and
-/// its vectors are recycled instead of reallocated per pattern node.
+/// occurrence groups and their retired vectors, and the per-concept
+/// slots that number groups and intern labels. One `OiScratch` serves
+/// any number of classes in sequence, under any taxonomies; the groups'
+/// vectors are recycled instead of reallocated per pattern node.
 #[derive(Debug, Default)]
 pub struct OiScratch {
-    by_original: HashMap<NodeLabel, Vec<usize>>,
+    /// The entry's occurrences grouped by original label.
+    groups: Vec<(NodeLabel, Vec<usize>)>,
     spare_vecs: Vec<Vec<usize>>,
+    /// Concept index → group id while grouping, then → local id while
+    /// interning; [`UNSET`] everywhere else. Grown to the largest
+    /// taxonomy seen. Each phase resets the slots it set, through its own
+    /// group or label list, before the next phase starts.
+    slots: Vec<LocalId>,
 }
+
+/// A slot holding no group or local id.
+const UNSET: LocalId = LocalId::MAX;
 
 impl OiScratch {
     /// A fresh, empty scratch.
@@ -229,45 +241,53 @@ impl OccurrenceIndex {
         let mut updates = 0usize;
         let mut entries = Vec::with_capacity(mg_labels.len());
         let OiScratch {
-            by_original,
+            groups,
             spare_vecs,
+            slots,
         } = scratch;
+        if slots.len() < taxonomy.concept_count() {
+            slots.resize(taxonomy.concept_count(), UNSET);
+        }
         for (pos, &mg) in mg_labels.iter().enumerate() {
             // Group occurrences by original label: original labels repeat
             // heavily across a class's occurrences, so all per-label work
             // below runs once per (distinct original, ancestor). The
-            // grouping table and its vectors come from (and return to) the
-            // caller's scratch.
+            // group vectors come from (and return to) the caller's scratch.
             for (occ, emb) in embeddings.iter().enumerate() {
-                by_original
-                    .entry(originals[emb.gid][emb.map[pos]])
-                    .or_insert_with(|| spare_vecs.pop().unwrap_or_default())
-                    .push(occ);
+                let original = originals[emb.gid][emb.map[pos]];
+                let slot = &mut slots[original.index()];
+                if *slot == UNSET {
+                    *slot = groups.len() as LocalId;
+                    groups.push((original, spare_vecs.pop().unwrap_or_default()));
+                }
+                groups[*slot as usize].1.push(occ);
             }
-            let mut index: HashMap<NodeLabel, LocalId> = HashMap::new();
-            let mut labels: Vec<NodeLabel> = Vec::new();
-            let mut nodes: Vec<OiNode> = Vec::new();
+            for (original, _) in groups.iter() {
+                slots[original.index()] = UNSET;
+            }
             // Iterate originals in label order: interning order — and with
             // it entry-children order and final emission order — becomes
             // deterministic across runs and across the serial/parallel
             // pipelines.
-            let mut originals_sorted: Vec<(&NodeLabel, &Vec<usize>)> = by_original.iter().collect();
-            originals_sorted.sort_unstable_by_key(|(l, _)| **l);
-            for (original, occs) in originals_sorted {
+            groups.sort_unstable_by_key(|(l, _)| *l);
+            let mut labels: Vec<NodeLabel> = Vec::new();
+            let mut nodes: Vec<OiNode> = Vec::new();
+            for (original, occs) in groups.iter() {
                 for anc_idx in taxonomy.ancestors(*original).iter() {
                     if options.frequent.is_some_and(|f| !f.contains(anc_idx)) {
                         continue;
                     }
-                    let label = NodeLabel(anc_idx as u32);
-                    let id = *index.entry(label).or_insert_with(|| {
-                        labels.push(label);
+                    let slot = &mut slots[anc_idx];
+                    if *slot == UNSET {
+                        *slot = labels.len() as LocalId;
+                        labels.push(NodeLabel(anc_idx as u32));
                         nodes.push(OiNode {
                             occs: BitSet::new(universe),
                             children: Vec::new(),
                             alive: true,
                         });
-                        (labels.len() - 1) as LocalId
-                    });
+                    }
+                    let id = *slot;
                     // Each occurrence has one original per position and
                     // each ancestor is visited once, so no bit is set twice.
                     let row = &mut nodes[id as usize].occs;
@@ -277,7 +297,7 @@ impl OccurrenceIndex {
                     updates += occs.len();
                 }
             }
-            for (_, mut v) in by_original.drain() {
+            for (_, mut v) in groups.drain(..) {
                 v.clear();
                 spare_vecs.push(v);
             }
@@ -289,14 +309,24 @@ impl OccurrenceIndex {
             // upward — so parent lookups resolve whenever admitted.
             for id in 0..nodes.len() as u32 {
                 for p in taxonomy.parents(labels[id as usize]) {
-                    if let Some(&pid) = index.get(p) {
+                    let pid = slots[p.index()];
+                    if pid != UNSET {
                         nodes[pid as usize].children.push(id);
                     }
                 }
             }
-            let root = *index
-                .get(&mg)
-                .expect("the most-general label is an ancestor of every original, so it is covered"); // tsg-lint: allow(panic) — the most-general label covers every original, so the index has it
+            let root = slots[mg.index()];
+            assert!(
+                root != UNSET,
+                "the most-general label is an ancestor of every original, so it is covered"
+            );
+            // The entry's own lookup table: one insertion per label, which
+            // also releases the label's slot for the next entry.
+            let mut index: HashMap<NodeLabel, LocalId> = HashMap::with_capacity(labels.len());
+            for (id, &label) in labels.iter().enumerate() {
+                index.insert(label, id as LocalId);
+                slots[label.index()] = UNSET;
+            }
             let mut entry = OiEntry {
                 index,
                 labels,

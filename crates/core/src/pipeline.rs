@@ -44,7 +44,9 @@ use tsg_graph::{GraphDatabase, LabeledGraph};
 use crate::sync::thread;
 use crate::sync::Mutex;
 use std::panic::AssertUnwindSafe;
-use tsg_gspan::{ClassHandoff, Embedding, GSpan, GSpanConfig, Grow, MinedPattern, PatternSink};
+use tsg_gspan::{
+    ClassHandoff, Embedding, GSpan, GSpanConfig, GSpanStats, Grow, MinedPattern, PatternSink,
+};
 use tsg_taxonomy::Taxonomy;
 
 /// Tuning knobs for [`mine_pipelined_governed`].
@@ -255,6 +257,7 @@ fn mine_pipelined_impl(
 
     let mut classes = 0usize;
     let mut steals = 0usize;
+    let mut gspan = GSpanStats::default();
     let mut rejected: Option<String> = None;
     let mut outputs: Vec<(usize, ClassOutput)> = Vec::new();
     thread::scope(|scope| {
@@ -349,14 +352,15 @@ fn mine_pipelined_impl(
                     max_edges: config.max_edges,
                 },
             )
-            .mine(&mut sink);
+            .mine(&mut sink)
         }));
         classes = sink.next_seq;
         steals = sink.steals;
         rejected = sink.rejected.take();
         channel.close();
-        if let Err(payload) = mined {
-            record_panic(&panic_slot, panic_message(payload.as_ref()));
+        match mined {
+            Ok(stats) => gspan = stats,
+            Err(payload) => record_panic(&panic_slot, panic_message(payload.as_ref())),
         }
         // Mining is done; the producer joins the drain instead of idling.
         // This drain is also what rescues classes abandoned by a dropped
@@ -410,6 +414,7 @@ fn mine_pipelined_impl(
     result.stats.peak_oi_bytes = oi_gauge.peak();
     result.stats.peak_embedding_bytes = emb_gauge.peak();
     result.stats.steals = steals;
+    result.stats.gspan = gspan;
     Ok(MiningOutcome {
         result,
         termination,
@@ -480,7 +485,7 @@ fn mine_inline(
         oi_scratch: OiScratch::new(),
         outputs: Vec::new(),
     };
-    GSpan::new(
+    let gspan = GSpan::new(
         &prepared.rel.dmg,
         GSpanConfig {
             min_support: prepared.min_support,
@@ -498,6 +503,7 @@ fn mine_inline(
     let mut result = merge_outputs(sink.outputs.into_iter(), classes, prepared);
     result.stats.peak_oi_bytes = oi_gauge.peak();
     result.stats.peak_embedding_bytes = emb_gauge.peak();
+    result.stats.gspan = gspan;
     MiningOutcome {
         result,
         termination,

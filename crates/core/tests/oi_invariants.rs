@@ -9,8 +9,9 @@
 //!   label — verified directly against the embeddings.
 
 use proptest::prelude::*;
-use taxogram_core::oi::{OccurrenceIndex, OiOptions};
-use taxogram_core::relabel::relabel;
+use taxogram_core::oi::{OccurrenceIndex, OiOptions, OiScratch};
+use taxogram_core::relabel::{relabel, Relabeled};
+use tsg_bitset::BitSet;
 use tsg_graph::{EdgeLabel, GraphDatabase, LabeledGraph, NodeLabel};
 use tsg_gspan::{Embedding, GSpan, GSpanConfig, Grow, MinedPattern, PatternSink};
 use tsg_taxonomy::{Taxonomy, TaxonomyBuilder};
@@ -147,6 +148,70 @@ proptest! {
                     && tsg_iso::is_isomorphic(&p.graph, &q.graph)),
                 "pattern lost by contraction"
             );
+        }
+    }
+
+    /// One `OiScratch` carried across the classes of two taxonomies of
+    /// different sizes, alternating between them, builds exactly what a
+    /// fresh scratch builds: labels in the same order, equal rows, child
+    /// lists and root. The scratch's interning slots outlive each class,
+    /// so a slot left set would mis-intern a later label without any
+    /// other error.
+    #[test]
+    fn reused_scratch_matches_fresh_builds(
+        (small, small_db) in arb_taxonomy(4).prop_flat_map(|t| {
+            let n = t.concept_count();
+            (Just(t), arb_db(n))
+        }),
+        (large, large_db) in arb_taxonomy(12).prop_flat_map(|t| {
+            let n = t.concept_count();
+            (Just(t), arb_db(n))
+        }),
+        contract in prop::bool::ANY,
+        filter in prop::bool::ANY,
+    ) {
+        prop_assume!(small.concept_count() < large.concept_count());
+        let inputs = [(&small, &small_db), (&large, &large_db)];
+        let runs: Vec<(Relabeled, Option<BitSet>, Classes)> = inputs
+            .into_iter()
+            .map(|(taxonomy, db)| {
+                let rel = relabel(db, taxonomy).unwrap();
+                // Admit labels generalized-frequent in two graphs.
+                let frequent = filter.then(|| {
+                    let freqs = rel.taxonomy.generalized_label_frequencies(db);
+                    let mut mask = BitSet::new(rel.taxonomy.concept_count());
+                    for (i, _) in freqs.iter().enumerate().filter(|(_, &f)| f >= 2) {
+                        mask.insert(i);
+                    }
+                    mask
+                });
+                let mut classes = Classes { items: vec![] };
+                let min_support = if filter { 2 } else { 1 };
+                GSpan::new(&rel.dmg, GSpanConfig { min_support, max_edges: Some(3) })
+                    .mine(&mut classes);
+                (rel, frequent, classes)
+            })
+            .collect();
+        let longest = runs.iter().map(|(_, _, c)| c.items.len()).max().unwrap_or(0);
+        let mut scratch = OiScratch::new();
+        for k in 0..longest {
+            for (rel, frequent, classes) in &runs {
+                let Some((skeleton, embeddings)) = classes.items.get(k) else {
+                    continue;
+                };
+                let options = OiOptions {
+                    frequent: frequent.as_ref(),
+                    contract_equal_sets: contract,
+                    predescend_roots: contract,
+                };
+                let args = (embeddings, &rel.originals, skeleton.labels(), &rel.taxonomy);
+                let reused = OccurrenceIndex::build_with_scratch(
+                    args.0, args.1, args.2, args.3, options, &mut scratch,
+                );
+                let fresh = OccurrenceIndex::build(args.0, args.1, args.2, args.3, options);
+                let concepts = rel.taxonomy.concept_count();
+                prop_assert_eq!(&reused, &fresh, "class {} under {} concepts", k, concepts);
+            }
         }
     }
 }

@@ -41,11 +41,11 @@ pub mod oracle;
 
 pub use dfs_code::{dfs_edge_cmp, ArcDir, DfsCode, DfsEdge};
 pub use extension::{
-    distinct_graph_count, embedding_list_bytes, enumerate_extensions, seed_extensions, Embedding,
-    ExtensionMap, OrderedExt,
+    count_extensions, distinct_graph_count, embedding_list_bytes, grow_extensions,
+    seed_extensions, Embedding,
 };
 pub use minimal::{is_min, is_min_with_scratch, min_dfs_code, MinScratch};
 pub use miner::{
-    mine_frequent, ClassHandoff, CollectSink, FrequentPattern, GSpan, GSpanConfig, Grow,
-    MinedPattern, PatternSink,
+    mine_frequent, ClassHandoff, CollectSink, FrequentPattern, GSpan, GSpanConfig, GSpanStats,
+    Grow, MinedPattern, PatternSink,
 };

@@ -1,8 +1,8 @@
 //! The gSpan mining loop with a visitor (sink) API.
 
-use crate::dfs_code::DfsCode;
+use crate::dfs_code::{DfsCode, DfsEdge};
 use crate::extension::{
-    distinct_graph_count, enumerate_extensions, prune_infrequent, seed_extensions, Embedding,
+    count_extensions, distinct_graph_count, grow_extensions, seed_extensions, Embedding,
 };
 use crate::minimal::{is_min_with_scratch, MinScratch};
 use std::ops::ControlFlow;
@@ -117,6 +117,26 @@ impl PatternSink for CollectSink {
     }
 }
 
+/// What one mining run's extension step did. Seeds are not included:
+/// every counter covers rightmost-path extensions of reported patterns.
+///
+/// Each counted key is dropped as infrequent, dropped as non-minimal, or
+/// grown; unless a sink stops the run, every grown key is reported, so
+/// `embeddings_grown` equals the embeddings of the reported non-seed
+/// patterns. All four are deterministic for a given database and config.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GSpanStats {
+    /// Distinct extension keys counted, summed over reported patterns.
+    pub keys_counted: usize,
+    /// Keys supported by fewer than `min_support` graphs.
+    pub infrequent: usize,
+    /// Frequent keys whose grown code is not minimal (another branch
+    /// reaches the same graph).
+    pub non_minimal: usize,
+    /// Embeddings materialized for the surviving keys.
+    pub embeddings_grown: usize,
+}
+
 /// The gSpan miner. Mines all connected frequent subgraphs (with at least
 /// one edge) of `db`, reporting each exactly once, in canonical DFS-code
 /// order, with its full embedding list.
@@ -131,36 +151,44 @@ impl<'a> GSpan<'a> {
         GSpan { db, config }
     }
 
-    /// Runs the mining loop, feeding `sink`.
-    pub fn mine<S: PatternSink>(&self, sink: &mut S) {
+    /// Runs the mining loop, feeding `sink`, and returns what the
+    /// extension step did.
+    pub fn mine<S: PatternSink>(&self, sink: &mut S) -> GSpanStats {
         let mut scratch = MinScratch::new();
-        let mut seeds = seed_extensions(self.db);
-        prune_infrequent(&mut seeds, self.config.min_support);
-        for (key, embs) in seeds {
-            let mut code = DfsCode::from_edges(vec![key.0]);
-            if self.mine_rec(&mut code, embs, sink, &mut scratch).is_break() {
-                return;
+        let mut stats = GSpanStats::default();
+        for (key, embs) in seed_extensions(self.db, self.config.min_support) {
+            let mut code = DfsCode::from_edges(vec![key]);
+            if !is_min_with_scratch(&code, &mut scratch) {
+                continue;
+            }
+            let support = distinct_graph_count(&embs);
+            if self
+                .mine_rec(&mut code, embs, support, sink, &mut scratch, &mut stats)
+                .is_break()
+            {
+                break;
             }
         }
+        stats
     }
 
-    /// Recursive step: minimality check, report, extension enumeration,
-    /// completion handoff, then the frequent children in canonical order.
-    /// Precondition: `embs` is frequent. Owns the embedding list so
-    /// completed classes can be handed off by move.
+    /// Recursive step: report, then extend — count every extension key,
+    /// keep the frequent keys whose grown code is minimal, grow those
+    /// only — hand the class off, then mine the children in canonical
+    /// order. Precondition: `code` is minimal and `embs` holds its
+    /// embeddings, `support` distinct graphs (≥ `min_support`). Owns the
+    /// embedding list so completed classes can be handed off by move.
     fn mine_rec<S: PatternSink>(
         &self,
         code: &mut DfsCode,
         embs: Vec<Embedding>,
+        support: usize,
         sink: &mut S,
         scratch: &mut MinScratch,
+        stats: &mut GSpanStats,
     ) -> ControlFlow<()> {
-        if !is_min_with_scratch(code, scratch) {
-            // A smaller code reaches this graph; that branch reports it.
-            return ControlFlow::Continue(());
-        }
+        debug_assert_eq!(support, distinct_graph_count(&embs));
         let graph = code.to_graph().expect("mined codes denote valid graphs"); // tsg-lint: allow(panic) — codes built edge-by-edge by the miner denote valid graphs
-        let support = distinct_graph_count(&embs);
         let decision = sink.report(&MinedPattern {
             code,
             graph: &graph,
@@ -184,19 +212,36 @@ impl<'a> GSpan<'a> {
             sink.complete(handoff(embs, graph));
             return ControlFlow::Continue(());
         }
-        let exts = enumerate_extensions(code, &embs, self.db);
+        let counts = count_extensions(code, &embs, self.db);
+        stats.keys_counted += counts.len();
+        let mut children: Vec<(DfsEdge, usize)> = Vec::new();
+        for (key, child_support) in counts {
+            if child_support < self.config.min_support {
+                stats.infrequent += 1;
+                continue;
+            }
+            // A smaller code reaches this child's graph; that branch
+            // reports it, so this one is never grown.
+            code.push(key);
+            let minimal = is_min_with_scratch(code, scratch);
+            code.pop();
+            if !minimal {
+                stats.non_minimal += 1;
+                continue;
+            }
+            children.push((key, child_support));
+        }
+        let keys: Vec<DfsEdge> = children.iter().map(|&(key, _)| key).collect();
+        let grown = grow_extensions(code, &embs, self.db, &keys);
+        stats.embeddings_grown += grown.iter().map(Vec::len).sum::<usize>();
         // The children's embedding lists now exist; the parent's are dead
         // weight to the miner, so the class completes (by move) *before*
         // the subtree is explored — streaming consumers start on it while
         // mining continues.
         sink.complete(handoff(embs, graph));
-        let children: Vec<_> = exts
-            .into_iter()
-            .filter(|(_, child_embs)| distinct_graph_count(child_embs) >= self.config.min_support)
-            .collect();
-        for (key, child_embs) in children {
-            code.push(key.0);
-            let flow = self.mine_rec(code, child_embs, sink, scratch);
+        for ((key, child_support), child_embs) in children.into_iter().zip(grown) {
+            code.push(key);
+            let flow = self.mine_rec(code, child_embs, child_support, sink, scratch, stats);
             code.pop();
             flow?;
         }

@@ -172,12 +172,12 @@ impl ResultCache {
 /// Filters a cached run down to the patterns frequent at the (higher)
 /// support floor `min_support_count`, preserving the engine's emission
 /// order — by the module-level soundness argument, byte-identical to a
-/// fresh mine at the corresponding θ′.
-pub fn filter_run(run: &MiningResult, min_support_count: usize) -> Vec<Pattern> {
+/// fresh mine at the corresponding θ′. The patterns are borrowed from the
+/// run, not cloned: a hit costs one pointer per surviving pattern.
+pub fn filter_run(run: &MiningResult, min_support_count: usize) -> Vec<&Pattern> {
     run.patterns
         .iter()
         .filter(|p| p.support_count >= min_support_count)
-        .cloned()
         .collect()
 }
 

@@ -36,6 +36,7 @@
 //! [`Termination`]: taxogram_core::Termination
 
 use crate::json::{escape_into, Json};
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::time::Duration;
 use taxogram_core::{Pattern, Termination, TerminationReason};
@@ -214,12 +215,14 @@ fn push_id(out: &mut String, id: Option<&str>) {
     }
 }
 
-/// Renders the patterns array of a `result` response. Public because the
+/// Renders the patterns array of a `result` response, from owned
+/// patterns or from references into a cached run. Public because the
 /// cache-soundness suite asserts *byte identity* of this exact rendering
 /// between a θ-filtered cached run and a fresh mine.
-pub fn render_patterns(patterns: &[Pattern]) -> String {
+pub fn render_patterns<P: Borrow<Pattern>>(patterns: &[P]) -> String {
     let mut out = String::from("[");
     for (i, p) in patterns.iter().enumerate() {
+        let p = p.borrow();
         if i > 0 {
             out.push(',');
         }
@@ -253,9 +256,9 @@ fn reason_str(reason: &TerminationReason) -> String {
 }
 
 /// Builds a `result` response line (without the trailing newline).
-pub fn result_response(
+pub fn result_response<P: Borrow<Pattern>>(
     id: Option<&str>,
-    patterns: &[Pattern],
+    patterns: &[P],
     termination: &Termination,
     min_support_count: usize,
     database_size: usize,
@@ -372,7 +375,7 @@ mod tests {
             classes_abandoned: 1,
             frontier: vec![],
         };
-        let r = result_response(Some("a\"b"), &[], &t, 2, 5, CacheStatus::Miss, 1.25);
+        let r = result_response::<Pattern>(Some("a\"b"), &[], &t, 2, 5, CacheStatus::Miss, 1.25);
         assert!(!r.contains('\n'));
         let v = crate::json::parse(&r).unwrap();
         assert_eq!(v.get("id").and_then(Json::as_str), Some("a\"b"));

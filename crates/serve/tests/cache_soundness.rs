@@ -160,7 +160,8 @@ fn td15_filtered_cache_matches_fresh_mine_byte_for_byte() {
     assert_eq!(floor, 7);
     let fresh = mine(theta_query);
     assert_eq!(fresh.patterns.len(), 12_546);
-    let filtered = filter_run(&mine(theta_cached), floor);
+    let cached = mine(theta_cached);
+    let filtered = filter_run(&cached, floor);
     assert!(
         render_patterns(&filtered) == render_patterns(&fresh.patterns),
         "θ={theta_cached} filtered to θ′={theta_query} must render exactly as a fresh θ′ mine"

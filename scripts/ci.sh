@@ -45,10 +45,12 @@ cargo test -q
 cargo test --workspace -q
 
 # Release-mode stage: release builds compile out `debug_assert!` and wrap
-# on integer overflow instead of panicking, so the set kernels and the
-# miner's suites run once more under the profile that ships.
-echo "== release-mode tests (tsg-bitset, taxogram-core) =="
-cargo test --release -q -p tsg-bitset -p taxogram-core
+# on integer overflow instead of panicking, so the set kernels, gSpan (whose
+# support counts rely on ascending graph ids that only a `debug_assert!`
+# checks), the miner and the serve daemon's suites run once more under
+# the profile that ships.
+echo "== release-mode tests (tsg-bitset, tsg-gspan, taxogram-core, tsg-serve) =="
+cargo test --release -q -p tsg-bitset -p tsg-gspan -p taxogram-core -p tsg-serve
 
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -350,8 +350,18 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 r.stats.classes,
                 r.stats.oi_updates
             )?;
-            // Counts only, no times: the line is identical across runs
-            // and across the serial, pipelined and sharded engines.
+            // Counts only, no times: the step 2 line is identical across
+            // runs and across the serial and pipelined engines (the sharded
+            // miner's Pass 1 mines shards, not the database, so it has no
+            // such line); the step 3 line also holds for the sharded one.
+            if shard_stats.is_none() {
+                let g = &r.stats.gspan;
+                writeln!(
+                    out,
+                    "# step 2: {} extension keys, {} infrequent, {} non-minimal, {} embeddings grown",
+                    g.keys_counted, g.infrequent, g.non_minimal, g.embeddings_grown
+                )?;
+            }
             let e = &r.stats.enumeration;
             writeln!(
                 out,
@@ -888,23 +898,24 @@ mod tests {
             "mine", "--taxonomy", &taxf, "--database", &dbf, "--support", "0.4",
             "--max-edges", "3",
         ];
-        let step3_line = |extra: &[&str]| -> String {
+        let step_line = |step: &str, extra: &[&str]| -> Option<String> {
             let mut args = base.to_vec();
             args.extend(extra);
             let (code, out) = run_capture(&args);
             assert_eq!(code, 0, "{out}");
             out.lines()
-                .find(|l| l.starts_with("# step 3: "))
-                .unwrap_or_else(|| panic!("no step 3 line: {out}"))
-                .to_string()
+                .find(|l| l.starts_with(&format!("# step {step}: ")))
+                .map(str::to_string)
         };
-        let serial = step3_line(&[]);
+        let serial = step_line("3", &[]).expect("serial step 3 line");
         assert!(!serial.contains("# step 3: 0 vectors"), "{serial}");
-        assert_eq!(step3_line(&["--threads", "2"]), serial);
-        assert_eq!(
-            step3_line(&["--shards", "3", "--spill-dir", &spills]),
-            serial
-        );
+        assert_eq!(step_line("3", &["--threads", "2"]), Some(serial.clone()));
+        let sharded = ["--shards", "3", "--spill-dir", &spills];
+        assert_eq!(step_line("3", &sharded), Some(serial));
+        let serial = step_line("2", &[]).expect("serial step 2 line");
+        assert!(!serial.contains("# step 2: 0 extension keys"), "{serial}");
+        assert_eq!(step_line("2", &["--threads", "2"]), Some(serial));
+        assert_eq!(step_line("2", &sharded), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
