@@ -128,12 +128,23 @@ fn oi_row_workload() -> (BitSet, BitSet, Vec<u32>) {
 }
 
 /// The Lemma 7 support kernel: distinct graphs of an occurrence-index
-/// row ∩ the working set.
+/// row ∩ the working set, counted over the class's graph-start row (bit
+/// `o` set iff occurrence `o` opens a graph's run in the map).
 fn fused_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("fused");
     let (row, working, occ_graph) = oi_row_workload();
+    let starts = BitSet::from_iter_with_universe(
+        occ_graph.len(),
+        (0..occ_graph.len()).filter(|&o| o == 0 || occ_graph[o] != occ_graph[o - 1]),
+    );
     group.bench_function("oi_row_distinct_graphs", |b| {
-        b.iter(|| tsg_bitset::distinct_monotone_mapped_count(&row, &working, &occ_graph));
+        b.iter(|| {
+            tsg_bitset::distinct_run_count(
+                std::hint::black_box(&row),
+                std::hint::black_box(&working),
+                std::hint::black_box(&starts),
+            )
+        });
     });
     group.finish();
 }

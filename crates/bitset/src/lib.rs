@@ -16,10 +16,11 @@
 //! embedding count (hundreds to a few thousand on the benchmark
 //! workloads), so one row is a few dozen words and every Lemma 7
 //! intersection is a word-parallel AND. Deliberately minimal — no
-//! compression, no rank/select. [`distinct_monotone_mapped_count`] is the
-//! support kernel: the distinct graphs of `a ∩ b` under an ascending
-//! embedding→graph map. The matcher's candidate sets (vertex ids of one
-//! database graph) use the same type over `0..node_count`.
+//! compression, no rank/select. [`distinct_run_count`] is the support
+//! kernel: the distinct graphs of `a ∩ b`, counted as the graph runs it
+//! touches under a class's graph-start mask, with one carry chain across
+//! the words and no per-member work. The matcher's candidate sets (vertex
+//! ids of one database graph) use the same type over `0..node_count`.
 
 // tsg-lint: allow(index) — word indices are bit / 64 within the fixed universe the set was created with
 
@@ -326,36 +327,45 @@ impl<'a> IntoIterator for &'a BitSet {
     }
 }
 
-/// Counts the distinct values of `map[v]` over the members `v` of
-/// `a ∩ b`, for a **non-decreasing** `map`.
+/// Counts the graph runs of `starts` that hold a member of `a ∩ b`.
 ///
 /// Taxogram's support is the number of distinct **graphs** containing an
-/// occurrence, while occurrence sets index **embeddings**; `map` is the
-/// class's embedding→graph projection. Every engine numbers a class's
-/// embeddings in ascending graph-id order, so equal graphs sit in one
-/// contiguous run of occurrence ids and the distinct count is the number
-/// of value changes along the ascending walk: one AND per word, set bits
-/// visited by trailing-zero count, and no marking area to clear.
+/// occurrence, while occurrence sets index **embeddings**. Every engine
+/// numbers a class's embeddings in ascending graph-id order, so each
+/// graph owns one contiguous run of occurrence ids, and `starts` marks
+/// the first id of every run (bit `i` set iff `i == 0` or occurrence `i`
+/// lies in a different graph than occurrence `i − 1`). The support of
+/// `a ∩ b` is then the number of runs it touches.
 ///
-/// An unsorted `map` makes the result meaningless (a count of runs, not
-/// of distinct values); callers establish the order once per map.
+/// One carry chain counts them, with no per-member work. Per word, with
+/// `w = a & b` and `s = starts`, the kernel adds `t = (!s | w) + w +
+/// carry`, the carry running on across words. A member adds `1 + 1`, so
+/// it starts a carry. A non-member inside a run adds `1 + 0`, so it
+/// passes a carry on. A start that is not a member adds `0 + 0`, so it
+/// stops one. At every start, then, the bit of `t` is the carry that
+/// reached it: it reads "the previous run holds a member".
+/// `popcount(t & s)` counts those runs, every run but the last. The bits
+/// above the universe hold no starts, so the last run's carry rides
+/// through them and leaves as the final carry-out, added once at the end.
+/// Bit 0 is a start that no carry reaches, so it adds nothing.
 ///
-/// # Panics
-/// Panics if some member of `a ∩ b` is out of bounds of `map`.
-pub fn distinct_monotone_mapped_count(a: &BitSet, b: &BitSet, map: &[u32]) -> usize {
+/// A `starts` that does not mark every run boundary makes the result
+/// meaningless (a count of marked runs, not of graphs); callers build it
+/// once per class from the embedding→graph map.
+#[inline]
+pub fn distinct_run_count(a: &BitSet, b: &BitSet, starts: &BitSet) -> usize {
     a.check_same_universe(b);
-    let mut n = 0;
-    let mut last = u64::MAX;
-    for (i, (x, y)) in a.blocks.iter().zip(&b.blocks).enumerate() {
-        let mut w = x & y;
-        while w != 0 {
-            let g = u64::from(map[i * BITS + w.trailing_zeros() as usize]);
-            n += usize::from(g != last);
-            last = g;
-            w &= w - 1;
-        }
+    a.check_same_universe(starts);
+    let mut n = 0usize;
+    let mut carry = false;
+    for ((x, y), s) in a.blocks.iter().zip(&b.blocks).zip(&starts.blocks) {
+        let w = x & y;
+        let (t, c1) = (!s | w).overflowing_add(w);
+        let (t, c2) = t.overflowing_add(u64::from(carry));
+        carry = c1 | c2;
+        n += (t & s).count_ones() as usize;
     }
-    n
+    n + usize::from(carry)
 }
 
 #[cfg(test)]
@@ -451,39 +461,115 @@ mod tests {
         assert_eq!(d, a.union(&b));
     }
 
-    #[test]
-    fn distinct_monotone_mapped_count_counts_graphs_not_occurrences() {
-        // Occurrences 0..6 live in graphs [0,0,1,1,2,2].
-        let map = [0u32, 0, 1, 1, 2, 2];
-        let set = BitSet::from_iter_with_universe(6, [0, 1, 2]);
-        assert_eq!(distinct_monotone_mapped_count(&set, &set, &map), 2);
-        let other = BitSet::from_iter_with_universe(6, [1, 5]);
-        assert_eq!(distinct_monotone_mapped_count(&set, &other, &map), 1);
-        let disjoint = BitSet::from_iter_with_universe(6, [3, 4]);
-        assert_eq!(distinct_monotone_mapped_count(&set, &disjoint, &map), 0);
-        // A graph whose occurrences straddle a word boundary counts once.
-        let map: Vec<u32> = (0..130).map(|o| u32::from(o >= 60)).collect();
-        let full = BitSet::full(130);
-        assert_eq!(distinct_monotone_mapped_count(&full, &full, &map), 2);
+    /// The run-start mask of a non-decreasing occurrence→graph map.
+    fn starts_of(map: &[u32]) -> BitSet {
+        BitSet::from_iter_with_universe(
+            map.len(),
+            (0..map.len()).filter(|&i| i == 0 || map[i] != map[i - 1]),
+        )
+    }
+
+    /// The oracle: distinct `map` values over the members of `a ∩ b`.
+    fn projected(a: &BitSet, b: &BitSet, map: &[u32]) -> usize {
+        a.intersection(b)
+            .iter()
+            .map(|o| map[o])
+            .collect::<BTreeSet<_>>()
+            .len()
     }
 
     #[test]
-    fn distinct_monotone_mapped_count_edge_universes() {
+    fn distinct_run_count_counts_graphs_not_occurrences() {
+        // Occurrences 0..6 live in graphs [0,0,1,1,2,2].
+        let starts = starts_of(&[0, 0, 1, 1, 2, 2]);
+        let set = BitSet::from_iter_with_universe(6, [0, 1, 2]);
+        assert_eq!(distinct_run_count(&set, &set, &starts), 2);
+        let other = BitSet::from_iter_with_universe(6, [1, 5]);
+        assert_eq!(distinct_run_count(&set, &other, &starts), 1);
+        let disjoint = BitSet::from_iter_with_universe(6, [3, 4]);
+        assert_eq!(distinct_run_count(&set, &disjoint, &starts), 0);
+        // A graph whose occurrences straddle a word boundary counts once.
+        let starts = starts_of(&(0..130).map(|o| u32::from(o >= 60)).collect::<Vec<_>>());
+        let full = BitSet::full(130);
+        assert_eq!(distinct_run_count(&full, &full, &starts), 2);
+        let tail = BitSet::from_iter_with_universe(130, [63, 64, 129]);
+        assert_eq!(distinct_run_count(&tail, &full, &starts), 1);
+    }
+
+    #[test]
+    fn distinct_run_count_edge_universes() {
         for universe in [0usize, 1, 63, 64, 65, 128, 130] {
             let full = BitSet::full(universe);
             let empty = BitSet::new(universe);
-            let single = vec![7u32; universe];
-            let distinct: Vec<u32> = (0..universe as u32).collect();
+            let single = starts_of(&vec![7u32; universe]);
+            let distinct = starts_of(&(0..universe as u32).collect::<Vec<_>>());
             assert_eq!(
-                distinct_monotone_mapped_count(&full, &full, &single),
+                distinct_run_count(&full, &full, &single),
                 usize::from(universe > 0)
             );
-            assert_eq!(
-                distinct_monotone_mapped_count(&full, &full, &distinct),
-                universe
-            );
-            assert_eq!(distinct_monotone_mapped_count(&full, &empty, &distinct), 0);
+            assert_eq!(distinct_run_count(&full, &full, &distinct), universe);
+            assert_eq!(distinct_run_count(&full, &empty, &distinct), 0);
         }
+    }
+
+    #[test]
+    fn distinct_run_count_run_ending_at_bit_63() {
+        // Graph 0 owns occurrences 0..=63, graph 1 the next word's 64..=100.
+        let map: Vec<u32> = (0..101).map(|o| u32::from(o >= 64)).collect();
+        let starts = starts_of(&map);
+        let full = BitSet::full(101);
+        for members in [vec![63], vec![64], vec![63, 64], vec![0, 100], vec![100]] {
+            let a = BitSet::from_iter_with_universe(101, members.iter().copied());
+            assert_eq!(
+                distinct_run_count(&a, &full, &starts),
+                projected(&a, &full, &map),
+                "members {members:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn distinct_run_count_run_spanning_three_words() {
+        // Graph 0 owns 0..10, graph 1 owns 10..150 (words 0, 1 and 2),
+        // graph 2 owns 150..160.
+        let map: Vec<u32> = (0..160)
+            .map(|o| u32::from(o >= 10) + u32::from(o >= 150))
+            .collect();
+        let starts = starts_of(&map);
+        let full = BitSet::full(160);
+        for members in [
+            vec![],
+            vec![10],
+            vec![70],
+            vec![149],
+            vec![9, 149],
+            vec![70, 150],
+            vec![5, 100, 159],
+        ] {
+            let a = BitSet::from_iter_with_universe(160, members.iter().copied());
+            assert_eq!(
+                distinct_run_count(&a, &full, &starts),
+                projected(&a, &full, &map),
+                "members {members:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn distinct_run_count_last_run_counts_through_the_final_carry() {
+        // Universe 128 (no padding bits): the last graph's hit can only
+        // leave as the carry out of the top word.
+        let map: Vec<u32> = (0..128).map(|o| o / 40).collect();
+        let starts = starts_of(&map);
+        let last_only = BitSet::from_iter_with_universe(128, [127]);
+        assert_eq!(distinct_run_count(&last_only, &last_only, &starts), 1);
+        let first_and_last = BitSet::from_iter_with_universe(128, [0, 120]);
+        assert_eq!(
+            distinct_run_count(&first_and_last, &first_and_last, &starts),
+            2
+        );
+        let full = BitSet::full(128);
+        assert_eq!(distinct_run_count(&full, &full, &starts), 4);
     }
 
     #[test]
@@ -554,7 +640,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_distinct_monotone_mapped_count_matches_btreeset_projection(
+        fn prop_distinct_run_count_matches_btreeset_projection(
             (_, a) in model_and_bits(193),
             (_, b) in model_and_bits(193),
             graphs in 1u32..=193,
@@ -563,8 +649,8 @@ mod tests {
             // non-decreasing with runs of every width: one graph at
             // `graphs` = 1, every occurrence its own graph at 193.
             let map: Vec<u32> = (0..193u32).map(|o| o * graphs / 193).collect();
-            let want: BTreeSet<u32> = a.intersection(&b).iter().map(|o| map[o]).collect();
-            prop_assert_eq!(distinct_monotone_mapped_count(&a, &b, &map), want.len());
+            let starts = starts_of(&map);
+            prop_assert_eq!(distinct_run_count(&a, &b, &starts), projected(&a, &b, &map));
         }
     }
 }

@@ -3,7 +3,7 @@
 //! the mining kernels feed through these primitives.
 
 use std::collections::BTreeSet;
-use tsg_bitset::{distinct_monotone_mapped_count, BitSet};
+use tsg_bitset::{distinct_run_count, BitSet};
 use tsg_graph::NodeLabel;
 use tsg_testkit::gen::{case_count, cases};
 
@@ -46,11 +46,13 @@ fn occurrence_algebra_matches_naive_sets() {
 }
 
 #[test]
-fn distinct_monotone_mapped_count_matches_naive_projection() {
+fn distinct_run_count_matches_naive_projection() {
     // Map each graph id to a coarser group (id / 2): non-decreasing, the
-    // shape of a class's embedding→graph projection.
+    // shape of a class's embedding→graph projection, whose runs the start
+    // mask marks.
     for c in cases(BASE_SEED ^ 1, case_count(64)) {
         let map: Vec<u32> = (0..c.db.len() as u32).map(|g| g / 2).collect();
+        let starts = BitSet::from_iter_with_universe(map.len(), (0..map.len()).step_by(2));
         let sets: Vec<_> = (0..c.taxonomy.concept_count())
             .map(|l| occurrence_set(&c, NodeLabel(l as u32)))
             .collect();
@@ -58,7 +60,7 @@ fn distinct_monotone_mapped_count_matches_naive_projection() {
             for (b_bits, b_naive) in &sets {
                 let want: BTreeSet<_> = a_naive.intersection(b_naive).map(|&g| map[g]).collect();
                 assert_eq!(
-                    distinct_monotone_mapped_count(a_bits, b_bits, &map),
+                    distinct_run_count(a_bits, b_bits, &starts),
                     want.len(),
                     "seed {:#x} label {l}",
                     c.seed

@@ -40,7 +40,7 @@
 
 use crate::config::Enhancements;
 use crate::oi::{LocalId, OccurrenceIndex};
-use tsg_bitset::{distinct_monotone_mapped_count, BitSet};
+use tsg_bitset::{distinct_run_count, BitSet};
 use tsg_graph::{LabeledGraph, NodeLabel};
 use tsg_iso::{automorphisms, canonical_under_automorphisms, canonical_under_automorphisms_into};
 use tsg_taxonomy::Taxonomy;
@@ -211,7 +211,7 @@ pub fn enumerate_class_scratch<F: FnMut(EmittedPattern<'_>)>(
     // deeper equal-occurrence label when enhancement (c)/(d) contracted it.
     let mut v: Vec<LocalId> = oi.entries.iter().map(|e| e.root()).collect();
     let ocs = oi.full_set();
-    let sup = distinct_monotone_mapped_count(&ocs, &ocs, &oi.occ_graph);
+    let sup = distinct_run_count(&ocs, &ocs, &oi.graph_starts);
     ctx.fill_labels(&v);
     let key = canonical_under_automorphisms(&ctx.s.label_buf, &ctx.autos);
     ctx.s.visited.insert(key);
@@ -252,8 +252,11 @@ fn recurse(
             let cset = entry.occs(child);
             ctx.stats.intersections += 1;
             // Lemma 7: the candidate's support is one word-parallel
-            // intersection, fused with the per-graph distinct count.
-            let child_sup = distinct_monotone_mapped_count(cset, ocs, &oi.occ_graph);
+            // intersection, fused with the per-graph distinct count. Each
+            // graph owns one run of occurrence ids, so the count is the
+            // runs `cset ∩ ocs` touches: one carry chain over the words
+            // and the class's graph-start row, no per-occurrence lookup.
+            let child_sup = distinct_run_count(cset, ocs, &oi.graph_starts);
             if child_sup == sup {
                 // An equal-support one-step specialization exists; by
                 // Lemma 2 this is the complete over-generalization test.
@@ -323,11 +326,7 @@ fn probe_descendants(
     let mut seen: HashSet<LocalId> = queue.iter().copied().collect();
     while let Some(l) = queue.pop() {
         ctx.stats.intersections += 1;
-        std::hint::black_box(distinct_monotone_mapped_count(
-            entry.occs(l),
-            ocs,
-            &ctx.oi.occ_graph,
-        ));
+        std::hint::black_box(distinct_run_count(entry.occs(l), ocs, &ctx.oi.graph_starts));
         for &c in entry.children(l) {
             if seen.insert(c) {
                 queue.push(c);

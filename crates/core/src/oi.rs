@@ -17,12 +17,20 @@
 //!   the benchmark workloads, so a row is a few dozen words, construction
 //!   is one bit store per `(occurrence, ancestor)` update, and every
 //!   Lemma 7 intersection is a word-parallel AND fused with the
-//!   distinct-graph count ([`tsg_bitset::distinct_monotone_mapped_count`]).
-//!   That kernel needs `occ_graph` non-decreasing, which
-//!   [`OccurrenceIndex::build`] checks once per class. The trade-off: a
-//!   row costs ⌈U/64⌉ words whatever its population, so a class with
-//!   tens of thousands of embeddings and hundreds of rarely-hit labels
-//!   holds more than a content-proportional encoding would (DESIGN.md §3).
+//!   distinct-graph count ([`tsg_bitset::distinct_run_count`]). Because
+//!   `occ_graph` is non-decreasing (checked once per class by
+//!   [`OccurrenceIndex::build`]), each graph owns one run of occurrence
+//!   ids, and the build marks each run's first id in one more row,
+//!   [`OccurrenceIndex::graph_starts`]. The kernel counts the runs a
+//!   candidate touches with one carry chain over the words: a member
+//!   starts a carry, non-start positions pass it on, and a start that is
+//!   not a member stops it, so each start bit of the sum reads "the
+//!   previous run held a member" and the last run's hit leaves as the
+//!   final carry-out. No occurrence is looked up in `occ_graph`. The
+//!   trade-off: a row costs ⌈U/64⌉ words whatever its population, so a
+//!   class with tens of thousands of embeddings and hundreds of
+//!   rarely-hit labels holds more than a content-proportional encoding
+//!   would (DESIGN.md §3).
 //! * **Labels are interned per entry** into dense local ids, through a
 //!   per-concept slot array in [`OiScratch`]: each `(original, ancestor)`
 //!   visit is one array load, not a hash lookup. Entries routinely hold
@@ -143,6 +151,10 @@ pub struct OccurrenceIndex {
     pub universe: usize,
     /// Occurrence id → database graph id.
     pub occ_graph: Vec<u32>,
+    /// The first occurrence of every graph's run: bit `i` is set iff
+    /// `i == 0` or `occ_graph[i] != occ_graph[i - 1]`. Step 3's support
+    /// kernel ([`tsg_bitset::distinct_run_count`]) counts graphs with it.
+    pub graph_starts: BitSet,
     /// One entry per pattern node, indexed by DFS vertex id.
     pub entries: Vec<OiEntry>,
     /// Number of `(occurrence, ancestor-label)` insertions performed —
@@ -232,11 +244,20 @@ impl OccurrenceIndex {
     ) -> OccurrenceIndex {
         let universe = embeddings.len();
         let occ_graph: Vec<u32> = embeddings.iter().map(|e| e.gid as u32).collect();
-        // Step 3 counts a candidate's graphs as the graph-id changes along
-        // its ascending occurrence ids, which is exact only while
-        // `occ_graph` is non-decreasing. One O(U) pass per class checks it.
-        if occ_graph.windows(2).any(|w| w[0] > w[1]) {
-            panic!("class embeddings out of ascending graph-id order"); // tsg-lint: allow(panic) — internal invariant: gSpan and Pass 2b both emit a class's embeddings by ascending graph id; a break would silently corrupt supports
+        // Step 3 counts a candidate's graphs as the graph runs it touches,
+        // which is exact only while `occ_graph` is non-decreasing: then
+        // each graph owns one run of occurrence ids. One O(U) pass per
+        // class checks the order and marks where each run starts.
+        let mut graph_starts = BitSet::new(universe);
+        let mut prev = None;
+        for (occ, &gid) in occ_graph.iter().enumerate() {
+            if prev.is_some_and(|p| p > gid) {
+                panic!("class embeddings out of ascending graph-id order"); // tsg-lint: allow(panic) — internal invariant: gSpan and Pass 2b both emit a class's embeddings by ascending graph id; a break would silently corrupt supports
+            }
+            if prev != Some(gid) {
+                graph_starts.insert(occ);
+            }
+            prev = Some(gid);
         }
         let mut updates = 0usize;
         let mut entries = Vec::with_capacity(mg_labels.len());
@@ -343,6 +364,7 @@ impl OccurrenceIndex {
         OccurrenceIndex {
             universe,
             occ_graph,
+            graph_starts,
             entries,
             updates,
         }
@@ -353,10 +375,12 @@ impl OccurrenceIndex {
         BitSet::full(self.universe)
     }
 
-    /// Approximate heap footprint of all entries.
+    /// Approximate heap footprint of all entries, the occurrence→graph
+    /// map and the graph-start row.
     pub fn heap_bytes(&self) -> usize {
         self.entries.iter().map(OiEntry::heap_bytes).sum::<usize>()
             + self.occ_graph.len() * std::mem::size_of::<u32>()
+            + self.graph_starts.heap_bytes()
     }
 }
 
@@ -571,7 +595,7 @@ mod tests {
         assert!(graphs_of_b.contains(&0));
         let full = oi.full_set();
         assert_eq!(
-            tsg_bitset::distinct_monotone_mapped_count(&full, &full, &oi.occ_graph),
+            tsg_bitset::distinct_run_count(&full, &full, &oi.graph_starts),
             3
         );
     }
@@ -647,7 +671,8 @@ mod tests {
                     + e.labels.len() * (std::mem::size_of::<NodeLabel>() + 16)
             })
             .sum::<usize>()
-            + oi.universe * std::mem::size_of::<u32>();
+            + oi.universe * std::mem::size_of::<u32>()
+            + words * 8;
         assert_eq!(oi.heap_bytes(), want);
     }
 

@@ -6,7 +6,10 @@
 //!   antitone);
 //! * each label's occurrence set is exactly the set of occurrences whose
 //!   original label at that position is a (reflexive) descendant of the
-//!   label — verified directly against the embeddings.
+//!   label — verified directly against the embeddings;
+//! * the graph-start row marks exactly the occurrences that open a new
+//!   graph's run — the first one, and each whose graph id differs from
+//!   its predecessor's.
 
 use proptest::prelude::*;
 use taxogram_core::oi::{OccurrenceIndex, OiOptions, OiScratch};
@@ -94,6 +97,11 @@ proptest! {
             );
             prop_assert_eq!(oi.universe, embeddings.len());
             prop_assert_eq!(oi.entries.len(), skeleton.node_count());
+            prop_assert_eq!(oi.graph_starts.universe(), oi.universe);
+            for i in 0..oi.universe {
+                let opens_run = i == 0 || embeddings[i].gid != embeddings[i - 1].gid;
+                prop_assert_eq!(oi.graph_starts.contains(i), opens_run, "occurrence {}", i);
+            }
             for (pos, entry) in oi.entries.iter().enumerate() {
                 // Root covers everything.
                 let root = entry.root();

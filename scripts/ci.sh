@@ -52,6 +52,30 @@ cargo test --workspace -q
 echo "== release-mode tests (tsg-bitset, tsg-gspan, taxogram-core, tsg-serve) =="
 cargo test --release -q -p tsg-bitset -p tsg-gspan -p taxogram-core -p tsg-serve
 
+# Lemma 7 pin: mine TD15 (64 classes, ~1M Step 3 support counts) in
+# release mode and require its exact Step 3 counters and pattern count,
+# so a support kernel that miscounts even one candidate fails here.
+echo "== TD15 Step 3 pin (release mine, exact counters) =="
+td15_dir="$(mktemp -d)"
+cargo run --release -q -p taxogram -- generate --dataset TD15 --scale 0.05 \
+    --out "$td15_dir" >/dev/null
+td15_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$td15_dir/taxonomy.txt" --database "$td15_dir/database.txt" \
+    --support 0.3 --max-edges 6)"
+rm -rf "$td15_dir"
+# Here-strings, not `printf | grep -q`: the output is megabytes, and a
+# grep that exits at its match would leave printf writing into a closed
+# pipe, which pipefail reports as a failure.
+grep -qxF '# step 3: 120246 vectors, 1078188 intersections, 16790 over-generalized' \
+    <<<"$td15_out" || {
+    echo "!! FAIL: TD15 Step 3 counters differ from the pinned line" >&2
+    exit 1
+}
+grep -q '^# mined 103456 patterns in ' <<<"$td15_out" || {
+    echo "!! FAIL: TD15 did not mine 103456 patterns" >&2
+    exit 1
+}
+
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc stage: every intra-doc link must resolve, so a doc comment
