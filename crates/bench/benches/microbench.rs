@@ -4,7 +4,8 @@
 //!   across set densities;
 //! * generalized vs exact subgraph isomorphism cost (the paper's claim
 //!   that generalized matching is "at least as hard");
-//! * occurrence-index construction cost per embedding;
+//! * occurrence-index construction cost per embedding, and the index
+//!   build alone over every class of the same database;
 //! * the fused Lemma 7 support kernel on an occurrence-index-shaped row
 //!   (DESIGN.md §8);
 //! * the serial engine vs the streaming pipelined engine.
@@ -111,7 +112,70 @@ fn pipeline_overhead(c: &mut Criterion) {
                 .len()
         });
     });
+    group.bench_function("oi_build", |b| {
+        // The serial engine's Step 2 index builds at θ = 0.2, without the
+        // class search: every class's embeddings are collected up front,
+        // then each iteration indexes them all with one scratch, as one
+        // mine does.
+        let rel = taxogram_core::relabel::relabel(&db, &tax).unwrap();
+        let min_support = db.min_support_count(0.2);
+        let mut frequent = BitSet::new(rel.taxonomy.concept_count());
+        for (i, &f) in rel.taxonomy.generalized_label_frequencies(&db).iter().enumerate() {
+            if f >= min_support {
+                frequent.insert(i);
+            }
+        }
+        let classes = collect_classes(&rel.dmg, min_support, 5);
+        let options = taxogram_core::oi::OiOptions {
+            frequent: Some(&frequent),
+            contract_equal_sets: true,
+            predescend_roots: true,
+        };
+        b.iter(|| {
+            let mut scratch = taxogram_core::oi::OiScratch::new();
+            classes
+                .iter()
+                .map(|(labels, embeddings)| {
+                    taxogram_core::oi::OccurrenceIndex::build_with_scratch(
+                        embeddings,
+                        &rel.originals,
+                        labels,
+                        &rel.taxonomy,
+                        options,
+                        &mut scratch,
+                    )
+                    .updates
+                })
+                .sum::<usize>()
+        });
+    });
     group.finish();
+}
+
+/// Every frequent class of `db` with its most-general labels and its
+/// embeddings, in gSpan's report order.
+fn collect_classes(
+    db: &tsg_graph::GraphDatabase,
+    min_support: usize,
+    max_edges: usize,
+) -> Vec<(Vec<tsg_graph::NodeLabel>, Vec<tsg_gspan::Embedding>)> {
+    struct Collect(Vec<(Vec<tsg_graph::NodeLabel>, Vec<tsg_gspan::Embedding>)>);
+    impl tsg_gspan::PatternSink for Collect {
+        fn report(&mut self, p: &tsg_gspan::MinedPattern<'_>) -> tsg_gspan::Grow {
+            self.0.push((p.graph.labels().to_vec(), p.embeddings.to_vec()));
+            tsg_gspan::Grow::Continue
+        }
+    }
+    let mut sink = Collect(Vec::new());
+    tsg_gspan::GSpan::new(
+        db,
+        tsg_gspan::GSpanConfig {
+            min_support,
+            max_edges: Some(max_edges),
+        },
+    )
+    .mine(&mut sink);
+    sink.0
 }
 
 /// An occurrence-index-shaped Step 3 operand pair: a class of 2,048

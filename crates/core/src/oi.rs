@@ -8,14 +8,13 @@
 //! gSpan embeddings, numbered densely per class; a map from occurrence to
 //! database graph supports the paper's per-graph support counting.
 //!
-//! Two representation choices matter for performance:
+//! Three choices matter for performance:
 //!
 //! * **Occurrence sets are plain bitsets** ([`BitSet`]) over the class's
 //!   occurrence universe `0..U`, `U` being its embedding count. The
 //!   paper already prescribes this ("Taxogram implements occurrence sets
 //!   as bit sets"), and the measured universes agree: at most 2,266 on
-//!   the benchmark workloads, so a row is a few dozen words, construction
-//!   is one bit store per `(occurrence, ancestor)` update, and every
+//!   the benchmark workloads, so a row is a few dozen words, and every
 //!   Lemma 7 intersection is a word-parallel AND fused with the
 //!   distinct-graph count ([`tsg_bitset::distinct_run_count`]). Because
 //!   `occ_graph` is non-decreasing (checked once per class by
@@ -31,13 +30,21 @@
 //!   class with tens of thousands of embeddings and hundreds of
 //!   rarely-hit labels holds more than a content-proportional encoding
 //!   would (DESIGN.md §3).
+//! * **Rows are built bottom-up.** An occurrence is inserted only into
+//!   its original label's *admitted frontier*: the original itself when
+//!   the label-frequency mask admits it (always, without a mask), else
+//!   the admitted labels reached from it through pruned labels alone.
+//!   Rows then flow to their parents as word ORs, deepest label first,
+//!   so each admitted ancestor receives the occurrence once, however
+//!   many is-a paths lead there. Frontiers are memoized in [`OiScratch`]
+//!   per taxonomy and mask, so no closure is looked up and no pruned
+//!   label is walked twice in a run. `updates` is the rows' total
+//!   population: Lemma 5's `(occurrence, admitted ancestor)` count.
 //! * **Labels are interned per entry** into dense local ids, through a
-//!   per-concept slot array in [`OiScratch`]: each `(original, ancestor)`
-//!   visit is one array load, not a hash lookup. Entries routinely hold
-//!   hundreds of labels while a class visits hundreds of thousands of
-//!   ancestors, so only the entry's own lookup table pays a hash
-//!   insertion, once per label; construction, contraction, and child
-//!   iteration run on dense vectors.
+//!   per-concept slot array in [`OiScratch`]: a label lookup is one array
+//!   load, not a hash lookup, and only the entry's own lookup table pays
+//!   a hash insertion, once per label. Construction, contraction, and
+//!   child iteration run on dense vectors.
 
 // tsg-lint: allow(index) — occurrence-index rows are indexed by dense entry ids issued during construction of the same index
 
@@ -176,31 +183,118 @@ pub struct OiOptions<'a> {
     pub predescend_roots: bool,
 }
 
-/// Reusable per-worker scratch for index construction: the by-original
-/// occurrence groups and their retired vectors, and the per-concept
-/// slots that number groups and intern labels. One `OiScratch` serves
-/// any number of classes in sequence, under any taxonomies; the groups'
-/// vectors are recycled instead of reallocated per pattern node.
+/// Reusable per-worker scratch for index construction: the per-concept
+/// slots that intern an entry's labels, and the frontier memo. One
+/// `OiScratch` serves any number of classes in sequence, under any
+/// taxonomies and masks.
 #[derive(Debug, Default)]
 pub struct OiScratch {
-    /// The entry's occurrences grouped by original label.
-    groups: Vec<(NodeLabel, Vec<usize>)>,
-    spare_vecs: Vec<Vec<usize>>,
-    /// Concept index → group id while grouping, then → local id while
-    /// interning; [`UNSET`] everywhere else. Grown to the largest
-    /// taxonomy seen. Each phase resets the slots it set, through its own
-    /// group or label list, before the next phase starts.
+    /// Concept index → the label's row in the entry under construction,
+    /// then its local id; [`UNSET`] everywhere else. Grown to the largest
+    /// taxonomy seen, and reset through the entry's label list before the
+    /// next entry starts.
     slots: Vec<LocalId>,
+    /// Concept index → its admitted frontier as a `(start, len)` span of
+    /// `frontier_ids`, or `(UNSET, 0)` until first needed. Only originals
+    /// that are themselves pruned (or absent) are ever looked up here: an
+    /// admitted original is its own frontier.
+    frontiers: Vec<(u32, u32)>,
+    frontier_ids: Vec<NodeLabel>,
+    /// The taxonomy ([`Taxonomy::id`]) and mask the memo was filled under.
+    memo_key: Option<(u64, Option<BitSet>)>,
 }
 
-/// A slot holding no group or local id.
+/// A slot holding no row or local id, and a frontier not yet computed.
 const UNSET: LocalId = LocalId::MAX;
+/// A slot whose label is queued for registration in the current entry.
+const PENDING: LocalId = LocalId::MAX - 1;
 
 impl OiScratch {
     /// A fresh, empty scratch.
     pub fn new() -> Self {
         OiScratch::default()
     }
+
+    /// Points the frontier memo at `taxonomy` under `frequent`, dropping
+    /// every memoized frontier if either differs from the last build's.
+    /// The key is the taxonomy's process-unique id plus the mask's
+    /// content, so neither a reused address nor a hash collision can
+    /// serve a stale frontier.
+    fn bind(&mut self, taxonomy: &Taxonomy, frequent: Option<&BitSet>) {
+        let current = self
+            .memo_key
+            .as_ref()
+            .is_some_and(|(id, mask)| *id == taxonomy.id() && mask.as_ref() == frequent);
+        if !current {
+            self.frontiers.clear();
+            self.frontier_ids.clear();
+            self.memo_key = Some((taxonomy.id(), frequent.cloned()));
+        }
+        let n = taxonomy.concept_count();
+        if self.slots.len() < n {
+            self.slots.resize(n, UNSET);
+        }
+        if self.frontiers.len() < n {
+            self.frontiers.resize(n, (UNSET, 0));
+        }
+    }
+}
+
+/// The admitted frontier of `original`: the admitted labels reachable
+/// from it through pruned labels alone, as a span of `ids`. Memoized in
+/// `frontiers` for every label the walk passes, so each pruned label is
+/// expanded once per taxonomy and mask, and a memoized frontier costs
+/// one lookup; `stack` is a reusable buffer. An absent concept has an
+/// empty frontier (it has no ancestors at all).
+fn frontier_span(
+    original: NodeLabel,
+    taxonomy: &Taxonomy,
+    frequent: &BitSet,
+    frontiers: &mut [(u32, u32)],
+    ids: &mut Vec<NodeLabel>,
+    stack: &mut Vec<NodeLabel>,
+) -> (usize, usize) {
+    stack.push(original);
+    while let Some(&x) = stack.last() {
+        if frontiers[x.index()].0 != UNSET {
+            stack.pop();
+            continue;
+        }
+        // Children before parents: expand every pruned parent first.
+        let depth = stack.len();
+        for &p in taxonomy.parents(x) {
+            if !frequent.contains(p.index()) && frontiers[p.index()].0 == UNSET {
+                stack.push(p);
+            }
+        }
+        if stack.len() > depth {
+            continue;
+        }
+        stack.pop();
+        // A pruned label with one pruned parent shares that parent's span.
+        if let [p] = taxonomy.parents(x) {
+            if !frequent.contains(p.index()) {
+                frontiers[x.index()] = frontiers[p.index()];
+                continue;
+            }
+        }
+        let start = ids.len();
+        for &p in taxonomy.parents(x) {
+            if frequent.contains(p.index()) {
+                ids.push(p);
+            } else {
+                let (s, len) = frontiers[p.index()];
+                ids.extend_from_within(s as usize..(s + len) as usize);
+            }
+        }
+        let mut union = ids.split_off(start);
+        union.sort_unstable();
+        union.dedup();
+        frontiers[x.index()] = (start as u32, union.len() as u32);
+        ids.append(&mut union);
+    }
+    let (s, len) = frontiers[original.index()];
+    (s as usize, len as usize)
 }
 
 impl OccurrenceIndex {
@@ -212,7 +306,10 @@ impl OccurrenceIndex {
     /// # Panics
     /// Panics if `embeddings` are not in ascending graph-id order — the
     /// order gSpan and the sharded miner's Pass 2b both produce, and the
-    /// one Step 3's support count relies on.
+    /// one Step 3's support count relies on — and if `options.frequent`
+    /// admits a label with a pruned ancestor that some occurrence
+    /// reaches: generalized frequency is antitone along is-a, so a mask
+    /// built from it is upward-closed.
     pub fn build(
         embeddings: &[Embedding],
         originals: &[Vec<NodeLabel>],
@@ -261,79 +358,112 @@ impl OccurrenceIndex {
         }
         let mut updates = 0usize;
         let mut entries = Vec::with_capacity(mg_labels.len());
+        scratch.bind(taxonomy, options.frequent);
         let OiScratch {
-            groups,
-            spare_vecs,
             slots,
+            frontiers,
+            frontier_ids,
+            ..
         } = scratch;
-        if slots.len() < taxonomy.concept_count() {
-            slots.resize(taxonomy.concept_count(), UNSET);
-        }
+        let admitted = |l: NodeLabel| options.frequent.is_none_or(|f| f.contains(l.index()));
+        let mut stack: Vec<NodeLabel> = Vec::new();
         for (pos, &mg) in mg_labels.iter().enumerate() {
-            // Group occurrences by original label: original labels repeat
-            // heavily across a class's occurrences, so all per-label work
-            // below runs once per (distinct original, ancestor). The
-            // group vectors come from (and return to) the caller's scratch.
-            for (occ, emb) in embeddings.iter().enumerate() {
-                let original = originals[emb.gid][emb.map[pos]];
-                let slot = &mut slots[original.index()];
-                if *slot == UNSET {
-                    *slot = groups.len() as LocalId;
-                    groups.push((original, spare_vecs.pop().unwrap_or_default()));
-                }
-                groups[*slot as usize].1.push(occ);
-            }
-            for (original, _) in groups.iter() {
-                slots[original.index()] = UNSET;
-            }
-            // Iterate originals in label order: interning order — and with
-            // it entry-children order and final emission order — becomes
-            // deterministic across runs and across the serial/parallel
-            // pipelines.
-            groups.sort_unstable_by_key(|(l, _)| *l);
+            // Rows in registration order, with the smallest original that
+            // reaches each label; a label's slot holds its row index.
             let mut labels: Vec<NodeLabel> = Vec::new();
-            let mut nodes: Vec<OiNode> = Vec::new();
-            for (original, occs) in groups.iter() {
-                for anc_idx in taxonomy.ancestors(*original).iter() {
-                    if options.frequent.is_some_and(|f| !f.contains(anc_idx)) {
-                        continue;
+            let mut rows: Vec<BitSet> = Vec::new();
+            let mut first: Vec<NodeLabel> = Vec::new();
+            // Gathering the originals first keeps the scattered loads out
+            // of the dependent insert loop below.
+            let position_originals: Vec<NodeLabel> = embeddings
+                .iter()
+                .map(|emb| originals[emb.gid][emb.map[pos]])
+                .collect();
+            for (occ, &original) in position_originals.iter().enumerate() {
+                // Each occurrence enters only its original's admitted
+                // frontier; the bottom-up pass below carries it to every
+                // admitted ancestor.
+                let frontier: &[NodeLabel] = if taxonomy.contains(original) && admitted(original) {
+                    std::slice::from_ref(&original)
+                } else if let Some(frequent) = options.frequent {
+                    let (s, len) = frontier_span(
+                        original,
+                        taxonomy,
+                        frequent,
+                        frontiers,
+                        frontier_ids,
+                        &mut stack,
+                    );
+                    &frontier_ids[s..s + len]
+                } else {
+                    &[]
+                };
+                for &f in frontier {
+                    if slots[f.index()] == UNSET {
+                        // Register the label and every ancestor not yet
+                        // registered, so each row's parents have rows.
+                        slots[f.index()] = PENDING;
+                        stack.push(f);
+                        while let Some(x) = stack.pop() {
+                            slots[x.index()] = labels.len() as LocalId;
+                            labels.push(x);
+                            rows.push(BitSet::new(universe));
+                            first.push(NodeLabel(u32::MAX));
+                            for &p in taxonomy.parents(x) {
+                                if slots[p.index()] == UNSET {
+                                    assert!(
+                                        admitted(p),
+                                        "label-frequency mask must be upward-closed: admitted {x} has pruned parent {p}"
+                                    );
+                                    slots[p.index()] = PENDING;
+                                    stack.push(p);
+                                }
+                            }
+                        }
                     }
-                    let slot = &mut slots[anc_idx];
-                    if *slot == UNSET {
-                        *slot = labels.len() as LocalId;
-                        labels.push(NodeLabel(anc_idx as u32));
-                        nodes.push(OiNode {
-                            occs: BitSet::new(universe),
-                            children: Vec::new(),
-                            alive: true,
-                        });
-                    }
-                    let id = *slot;
-                    // Each occurrence has one original per position and
-                    // each ancestor is visited once, so no bit is set twice.
-                    let row = &mut nodes[id as usize].occs;
-                    for &occ in occs {
-                        row.insert(occ);
-                    }
-                    updates += occs.len();
+                    let row = slots[f.index()] as usize;
+                    rows[row].insert(occ);
+                    first[row] = first[row].min(original);
                 }
             }
-            for (_, mut v) in groups.drain(..) {
-                v.clear();
-                spare_vecs.push(v);
+            // Bottom-up: a parent is strictly shallower than its child
+            // (longest-path depth), so deepest-first finishes every row
+            // before it flows into its parents.
+            let mut order: Vec<usize> = (0..labels.len()).collect();
+            order.sort_unstable_by_key(|&i| std::cmp::Reverse(taxonomy.depth(labels[i])));
+            for &i in &order {
+                let row = std::mem::take(&mut rows[i]);
+                for &p in taxonomy.parents(labels[i]) {
+                    let pi = slots[p.index()] as usize;
+                    rows[pi].union_with(&row);
+                    first[pi] = first[pi].min(first[i]);
+                }
+                rows[i] = row;
             }
-            // Wire children within the entry, iterating each covered
-            // label's *parents* (typically one or two on real ontologies)
-            // rather than its taxonomy children (hundreds for top-level
-            // concepts in wide taxonomies). Every covered label's admitted
-            // ancestors are present — the frequency mask is monotone
-            // upward — so parent lookups resolve whenever admitted.
+            // Local ids by (smallest original reaching the label, label
+            // id): a function of the class alone, so child lists,
+            // contraction and emission order repeat across runs and
+            // engines.
+            order.sort_unstable_by_key(|&i| (first[i], labels[i]));
+            let labels: Vec<NodeLabel> = order.iter().map(|&i| labels[i]).collect();
+            let mut nodes: Vec<OiNode> = Vec::with_capacity(labels.len());
+            for (id, &i) in order.iter().enumerate() {
+                let occs = std::mem::take(&mut rows[i]);
+                updates += occs.count_ones();
+                nodes.push(OiNode {
+                    occs,
+                    children: Vec::new(),
+                    alive: true,
+                });
+                slots[labels[id].index()] = id as LocalId;
+            }
+            // Wire children within the entry, iterating each label's
+            // *parents* (typically one or two on real ontologies) rather
+            // than its taxonomy children (hundreds for top-level concepts
+            // in wide taxonomies). Registration gave every parent a row.
             for id in 0..nodes.len() as u32 {
                 for p in taxonomy.parents(labels[id as usize]) {
-                    let pid = slots[p.index()];
-                    if pid != UNSET {
-                        nodes[pid as usize].children.push(id);
-                    }
+                    nodes[slots[p.index()] as usize].children.push(id);
                 }
             }
             let root = slots[mg.index()];
@@ -626,6 +756,103 @@ mod tests {
             assert!(e.contains(c.b));
             assert!(!e.contains(c.c), "c filtered out");
             assert!(!e.contains(c.d), "d filtered out");
+        }
+    }
+
+    /// The DAG `r ← p1 ← o`, `r ← q ← p2 ← o` (ids 0–4): `o` has a
+    /// frequent parent `p1` and an infrequent one, `p2`, under the
+    /// frequent `q`. Occurrences 0 and 1 have original `o`, occurrence 2
+    /// has `p2`.
+    fn two_parent_dag() -> (Taxonomy, Vec<Vec<NodeLabel>>, Vec<tsg_gspan::Embedding>) {
+        let t = tsg_taxonomy::taxonomy_from_edges(5, [(1, 0), (2, 0), (3, 2), (4, 1), (4, 3)])
+            .unwrap();
+        let originals = vec![vec![NodeLabel(4)], vec![NodeLabel(4), NodeLabel(3)]];
+        let emb = |gid, v| tsg_gspan::Embedding {
+            gid,
+            map: vec![v],
+            edges: vec![],
+        };
+        (t, originals, vec![emb(0, 0), emb(1, 0), emb(1, 1)])
+    }
+
+    #[test]
+    fn pruned_original_reaches_its_whole_frontier() {
+        let (t, originals, embs) = two_parent_dag();
+        let frequent = BitSet::from_iter_with_universe(5, [0usize, 1, 2]);
+        let options = OiOptions {
+            frequent: Some(&frequent),
+            contract_equal_sets: false,
+            predescend_roots: false,
+        };
+        let mut scratch = OiScratch::new();
+        let oi = OccurrenceIndex::build_with_scratch(
+            &embs,
+            &originals,
+            &[NodeLabel(0)],
+            &t,
+            options,
+            &mut scratch,
+        );
+        // F(o) = {p1, q}: one admitted parent, one reached through p2.
+        let (s, len) = scratch.frontiers[4];
+        let frontier = &scratch.frontier_ids[s as usize..(s + len) as usize];
+        assert_eq!(frontier, &[NodeLabel(1), NodeLabel(2)]);
+        let entry = &oi.entries[0];
+        // Ordered by (smallest original reaching the label, label): r and
+        // q are first reached from p2 (3), p1 only from o (4).
+        let labels: Vec<NodeLabel> = (0..entry.len() as LocalId).map(|id| entry.label_of(id)).collect();
+        assert_eq!(labels, [NodeLabel(0), NodeLabel(2), NodeLabel(1)]);
+        let row = |l: u32| entry.occs(entry.lookup(NodeLabel(l)).unwrap()).to_vec();
+        // The root gets occurrence 0 through both p1 and q, once.
+        assert_eq!(row(0), [0, 1, 2]);
+        assert_eq!(row(1), [0, 1]);
+        assert_eq!(row(2), [0, 1, 2]);
+        assert!(!entry.contains(NodeLabel(3)) && !entry.contains(NodeLabel(4)));
+        assert_eq!(entry.children(entry.root()), &[1, 2]);
+        // Lemma 5: occurrences 0 and 1 each reach {r, p1, q}, 2 reaches {r, q}.
+        assert_eq!(oi.updates, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be upward-closed")]
+    fn non_upward_closed_mask_is_rejected() {
+        // p1 and o admitted, their ancestor r and o's parent p2 pruned.
+        let (t, originals, embs) = two_parent_dag();
+        let frequent = BitSet::from_iter_with_universe(5, [1usize, 4]);
+        OccurrenceIndex::build(
+            &embs,
+            &originals,
+            &[NodeLabel(0)],
+            &t,
+            OiOptions {
+                frequent: Some(&frequent),
+                contract_equal_sets: false,
+                predescend_roots: false,
+            },
+        );
+    }
+
+    #[test]
+    fn frontier_memo_follows_taxonomy_and_mask() {
+        // Under each (taxonomy, mask) pair o = 4 has a different
+        // frontier: {p1, q}, {r, q}, and {1} on a taxonomy where 4 sits
+        // below 3 below 1. A clone is a new taxonomy to the memo.
+        let (a, originals, embs) = two_parent_dag();
+        let b = tsg_taxonomy::taxonomy_from_edges(5, [(1, 0), (2, 0), (3, 1), (4, 3)]).unwrap();
+        let wide = BitSet::from_iter_with_universe(5, [0usize, 1, 2]);
+        let narrow = BitSet::from_iter_with_universe(5, [0usize, 2]);
+        let a_clone = a.clone();
+        let mut scratch = OiScratch::new();
+        for (t, mask) in [(&a, &wide), (&a, &narrow), (&b, &wide), (&a, &wide), (&a_clone, &wide)] {
+            let options = OiOptions {
+                frequent: Some(mask),
+                contract_equal_sets: false,
+                predescend_roots: false,
+            };
+            let mg = [NodeLabel(0)];
+            let reused =
+                OccurrenceIndex::build_with_scratch(&embs, &originals, &mg, t, options, &mut scratch);
+            assert_eq!(reused, OccurrenceIndex::build(&embs, &originals, &mg, t, options));
         }
     }
 

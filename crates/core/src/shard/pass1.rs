@@ -52,10 +52,7 @@ pub(crate) fn mine_shard(
     unified: &Taxonomy,
     config: &TaxogramConfig,
 ) -> ShardCandidates {
-    // A cold clone (empty closure memo, no re-unification) for the label
-    // counts: on the shared taxonomy they would memoize the ancestor
-    // closure of every label in the database for the rest of the run.
-    let label_frequencies = unified.clone().generalized_label_frequencies(&shard_db);
+    let label_frequencies = unified.generalized_label_frequencies(&shard_db);
     let local_min = shard_db.min_support_count(config.threshold);
     relabel_in_place(&mut shard_db, unified);
     // The serial class search on the scanning worker's own thread:

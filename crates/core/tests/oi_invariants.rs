@@ -6,7 +6,12 @@
 //!   antitone);
 //! * each label's occurrence set is exactly the set of occurrences whose
 //!   original label at that position is a (reflexive) descendant of the
-//!   label — verified directly against the embeddings;
+//!   label — verified directly against the embeddings, with and without
+//!   a label-frequency mask; under a mask, exactly the admitted labels
+//!   that cover an occurrence are present;
+//! * the bottom-up build equals a naive per-`(occurrence, ancestor)`
+//!   builder label for label, in local-id order, with equal child lists
+//!   and update count;
 //! * the graph-start row marks exactly the occurrences that open a new
 //!   graph's run — the first one, and each whose graph id differs from
 //!   its predecessor's.
@@ -75,25 +80,108 @@ impl PatternSink for Classes {
     }
 }
 
+/// Mines `db` under `taxonomy` (≤ 3 edges) at support 1, or, when
+/// `filter` holds, at support 2 with the label-frequency mask the engines
+/// build at that support: upward-closed, since frequency is antitone
+/// along is-a.
+fn mine_classes(
+    taxonomy: &Taxonomy,
+    db: &GraphDatabase,
+    filter: bool,
+) -> (Relabeled, Option<BitSet>, Classes) {
+    let rel = relabel(db, taxonomy).unwrap();
+    // Admit labels generalized-frequent in two graphs; classes then need
+    // two graphs too, so every class's most-general labels are admitted.
+    let frequent = filter.then(|| {
+        let freqs = rel.taxonomy.generalized_label_frequencies(db);
+        let mut mask = BitSet::new(rel.taxonomy.concept_count());
+        for (i, _) in freqs.iter().enumerate().filter(|(_, &f)| f >= 2) {
+            mask.insert(i);
+        }
+        mask
+    });
+    let mut classes = Classes { items: vec![] };
+    let min_support = if filter { 2 } else { 1 };
+    GSpan::new(&rel.dmg, GSpanConfig { min_support, max_edges: Some(3) }).mine(&mut classes);
+    (rel, frequent, classes)
+}
+
+/// One entry as the naive builder sees it: labels in local-id order, each
+/// with its occurrences and child ids, plus the root's id.
+type NaiveEntry = (Vec<(NodeLabel, Vec<usize>, Vec<u32>)>, u32);
+
+/// A naive per-`(occurrence, ancestor)` builder: originals visited
+/// ascending, each one's admitted ancestors ascending, labels interned on
+/// first sight, one bit set per (occurrence, admitted ancestor). Returns
+/// the entries and the update count.
+fn naive_build(
+    embeddings: &[Embedding],
+    originals: &[Vec<NodeLabel>],
+    mg_labels: &[NodeLabel],
+    taxonomy: &Taxonomy,
+    frequent: Option<&BitSet>,
+) -> (Vec<NaiveEntry>, usize) {
+    let admitted = |a: usize| frequent.is_none_or(|f| f.contains(a));
+    let mut updates = 0;
+    let mut entries = Vec::new();
+    for (pos, &mg) in mg_labels.iter().enumerate() {
+        let of = |e: &Embedding| originals[e.gid][e.map[pos]];
+        let mut distinct: Vec<NodeLabel> = embeddings.iter().map(of).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut labels: Vec<NodeLabel> = Vec::new();
+        for &o in &distinct {
+            for a in taxonomy.ancestors(o).iter().filter(|&a| admitted(a)) {
+                if !labels.contains(&NodeLabel(a as u32)) {
+                    labels.push(NodeLabel(a as u32));
+                }
+            }
+        }
+        let id_of = |l: NodeLabel| labels.iter().position(|&x| x == l).map(|i| i as u32);
+        let mut rows = vec![(Vec::new(), Vec::new()); labels.len()];
+        for (occ, e) in embeddings.iter().enumerate() {
+            for a in taxonomy.ancestors(of(e)).iter().filter(|&a| admitted(a)) {
+                rows[id_of(NodeLabel(a as u32)).unwrap() as usize].0.push(occ);
+                updates += 1;
+            }
+        }
+        for (id, &l) in labels.iter().enumerate() {
+            for &p in taxonomy.parents(l) {
+                if let Some(pid) = id_of(p) {
+                    rows[pid as usize].1.push(id as u32);
+                }
+            }
+        }
+        let root = id_of(mg).unwrap();
+        let rows = labels.iter().zip(rows).map(|(&l, (occs, children))| (l, occs, children));
+        entries.push((rows.collect(), root));
+    }
+    (entries, updates)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn oi_invariants_hold((taxonomy, db) in arb_taxonomy(6).prop_flat_map(|t| {
-        let n = t.concept_count();
-        (Just(t), arb_db(n))
-    })) {
-        let rel = relabel(&db, &taxonomy).unwrap();
-        let mut classes = Classes { items: vec![] };
-        GSpan::new(&rel.dmg, GSpanConfig { min_support: 1, max_edges: Some(3) })
-            .mine(&mut classes);
+    fn oi_invariants_hold(
+        (taxonomy, db) in arb_taxonomy(6).prop_flat_map(|t| {
+            let n = t.concept_count();
+            (Just(t), arb_db(n))
+        }),
+        filter in prop::bool::ANY,
+    ) {
+        let (rel, frequent, classes) = mine_classes(&taxonomy, &db, filter);
         for (skeleton, embeddings) in &classes.items {
             let oi = OccurrenceIndex::build(
                 embeddings,
                 &rel.originals,
                 skeleton.labels(),
                 &rel.taxonomy,
-                OiOptions { frequent: None, contract_equal_sets: false, predescend_roots: false },
+                OiOptions {
+                    frequent: frequent.as_ref(),
+                    contract_equal_sets: false,
+                    predescend_roots: false,
+                },
             );
             prop_assert_eq!(oi.universe, embeddings.len());
             prop_assert_eq!(oi.entries.len(), skeleton.node_count());
@@ -106,11 +194,10 @@ proptest! {
                 // Root covers everything.
                 let root = entry.root();
                 prop_assert_eq!(entry.occs(root).count_ones(), oi.universe);
-                // Every live label's set matches the embedding-level
-                // definition exactly, and children's sets are subsets.
-                for label in entry.live_labels() {
-                    let id = entry.lookup(label).unwrap();
-                    let got: Vec<usize> = entry.occs(id).iter().collect();
+                // Every admitted label's set matches the embedding-level
+                // definition exactly: present iff it covers an occurrence.
+                // A pruned label never appears.
+                for label in rel.taxonomy.concepts() {
                     let want: Vec<usize> = embeddings
                         .iter()
                         .enumerate()
@@ -120,6 +207,18 @@ proptest! {
                         })
                         .map(|(i, _)| i)
                         .collect();
+                    let admitted = frequent.as_ref().is_none_or(|f| f.contains(label.index()));
+                    let Some(id) = entry.lookup(label) else {
+                        prop_assert!(
+                            !admitted || want.is_empty(),
+                            "admitted label {} covers occurrences at position {} but is missing",
+                            label,
+                            pos
+                        );
+                        continue;
+                    };
+                    prop_assert!(admitted, "pruned label {} at position {}", label, pos);
+                    let got: Vec<usize> = entry.occs(id).iter().collect();
                     prop_assert_eq!(&got, &want, "label {} at position {}", label, pos);
                     prop_assert!(!got.is_empty(), "covered labels have occurrences");
                     for &child in entry.children(id) {
@@ -129,6 +228,39 @@ proptest! {
                             "child set must be a subset of the parent's"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn build_matches_the_per_ancestor_oracle(
+        (taxonomy, db) in arb_taxonomy(8).prop_flat_map(|t| {
+            let n = t.concept_count();
+            (Just(t), arb_db(n))
+        }),
+        filter in prop::bool::ANY,
+    ) {
+        let (rel, frequent, classes) = mine_classes(&taxonomy, &db, filter);
+        for (skeleton, embeddings) in &classes.items {
+            let options = OiOptions {
+                frequent: frequent.as_ref(),
+                contract_equal_sets: false,
+                predescend_roots: false,
+            };
+            let labels = skeleton.labels();
+            let oi = OccurrenceIndex::build(embeddings, &rel.originals, labels, &rel.taxonomy, options);
+            let (want, updates) =
+                naive_build(embeddings, &rel.originals, labels, &rel.taxonomy, frequent.as_ref());
+            prop_assert_eq!(oi.updates, updates);
+            for (entry, (rows, root)) in oi.entries.iter().zip(&want) {
+                prop_assert_eq!(entry.len(), rows.len());
+                prop_assert_eq!(entry.root(), *root);
+                for (id, (label, occs, children)) in rows.iter().enumerate() {
+                    let id = id as u32;
+                    prop_assert_eq!(entry.label_of(id), *label, "local id {}", id);
+                    prop_assert_eq!(&entry.occs(id).to_vec(), occs, "label {}", label);
+                    prop_assert_eq!(entry.children(id), children.as_slice(), "label {}", label);
                 }
             }
         }

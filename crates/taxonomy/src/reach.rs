@@ -20,8 +20,9 @@
 //! `is_ancestor` is O(1) on the tree path and O(|extra|) otherwise.
 //! Full closures ([`Closure`]) are materialized lazily by walking tree
 //! parent chains, and memoized per taxonomy in a bounded FIFO cache
-//! ([`ClosureMemo`]) keyed by concept — the occurrence-index build asks
-//! for the same few database labels over and over.
+//! ([`ClosureMemo`]) keyed by concept — its clients (TAcGM, the
+//! reference miner, similarity) ask for the same few database labels
+//! over and over.
 
 // tsg-lint: allow(index) — CSR offsets and interval labels are built consistent with the concept count, and traversals index only by ids the structure itself issued
 
@@ -501,10 +502,14 @@ impl Reachability {
 
 /// Bounded memo for materialized closures, shared behind `&Taxonomy`.
 ///
-/// FIFO eviction over a byte budget: the working set of the OI build is a
-/// handful of database labels queried millions of times, so recency
-/// sophistication buys nothing — the bound only has to keep a
-/// 10⁶-concept taxonomy from accumulating gigabytes of closures.
+/// Its remaining clients are TAcGM's candidate generation (ancestor
+/// closures of database labels), the brute-force reference miner, and
+/// the similarity measures' cross-link path through
+/// [`crate::Taxonomy::common_ancestors`]; Taxogram's label frequencies
+/// and occurrence-index build walk parent edges instead. Those clients
+/// ask for a few database labels over and over, so FIFO eviction over a
+/// byte budget suffices — the bound only has to keep a 10⁶-concept
+/// taxonomy from accumulating gigabytes of closures.
 pub(crate) struct ClosureMemo {
     inner: Mutex<MemoInner>,
 }

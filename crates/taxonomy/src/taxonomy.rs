@@ -4,6 +4,7 @@
 
 use crate::reach::{Closure, ClosureMemo, Csr, Reachability, NONE};
 use crate::TaxonomyError;
+use std::sync::atomic::{AtomicU64, Ordering}; // tsg-lint: allow(facade) — crate layering: tsg-taxonomy sits below the facade crate; the id counter is a process-wide ticket with no cross-thread protocol
 use tsg_bitset::BitSet;
 use tsg_graph::{GraphDatabase, NodeLabel};
 
@@ -33,8 +34,18 @@ pub struct Taxonomy {
     /// ids but have no relations.
     present: Vec<bool>,
     /// Bounded cache of materialized closures (not part of the value:
-    /// clones start with an empty memo, equality ignores it).
+    /// clones start with an empty memo).
     memo: ClosureMemo,
+    /// Process-unique identity, fresh on construction and on clone; see
+    /// [`Taxonomy::id`].
+    id: u64,
+}
+
+/// Source of [`Taxonomy::id`] values.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+fn next_id() -> u64 {
+    NEXT_ID.fetch_add(1, Ordering::Relaxed) // tsg-lint: ordering(ORD-21)
 }
 
 impl Clone for Taxonomy {
@@ -48,6 +59,7 @@ impl Clone for Taxonomy {
             artificial_from: self.artificial_from,
             present: self.present.clone(),
             memo: ClosureMemo::new(),
+            id: next_id(),
         }
     }
 }
@@ -123,7 +135,18 @@ impl Taxonomy {
             artificial_from,
             present,
             memo: ClosureMemo::new(),
+            id: next_id(),
         })
+    }
+
+    /// A process-unique identity: fresh on every construction and every
+    /// clone, never reused. A taxonomy has no mutating API, so two reads
+    /// of the same id always see the same relations — which lets callers
+    /// key per-taxonomy caches by it (the occurrence-index builder's
+    /// frontier memo does).
+    #[inline]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Number of concept ids (including absent ones after
@@ -450,25 +473,29 @@ impl Taxonomy {
     pub fn generalized_label_frequencies(&self, db: &GraphDatabase) -> Vec<usize> {
         let n = self.concept_count();
         let mut counts = vec![0usize; n];
-        // Per-graph dedup via an epoch-stamped scratch array: O(ancestors
-        // touched) per graph instead of clearing an n-bit set each time.
+        // Per-graph dedup via an epoch-stamped scratch array: each graph
+        // walks parent edges upward from its labels and stops at concepts
+        // already stamped for it, so every ancestor is counted once per
+        // graph without materializing a closure.
         let mut stamp = vec![0u32; n];
         let mut epoch = 0u32;
-        let mut distinct: Vec<NodeLabel> = Vec::new();
+        let mut stack: Vec<usize> = Vec::new();
         for (_, g) in db.iter() {
             epoch += 1;
-            distinct.clear();
-            distinct.extend_from_slice(g.labels());
-            distinct.sort_unstable();
-            distinct.dedup();
-            for &l in &distinct {
-                if l.index() >= n {
+            for &l in g.labels() {
+                let v = l.index();
+                if v >= n || !self.present[v] || stamp[v] == epoch {
                     continue;
                 }
-                for a in self.ancestors(l).iter() {
-                    if stamp[a] != epoch {
-                        stamp[a] = epoch;
-                        counts[a] += 1;
+                stamp[v] = epoch;
+                stack.push(v);
+                while let Some(c) = stack.pop() {
+                    counts[c] += 1;
+                    for &p in self.parents.row(c) {
+                        if stamp[p.index()] != epoch {
+                            stamp[p.index()] = epoch;
+                            stack.push(p.index());
+                        }
                     }
                 }
             }

@@ -9,6 +9,8 @@
 //! counts, common-ancestor sets (both the tree-LCA fast path and the
 //! cross-link merge path), and most-general-ancestor sets, including
 //! after `restrict` pruning and `unify_most_general` root grafting.
+//! Generalized label frequencies, which walk parent edges instead of
+//! materializing closures, are checked against the closure definition.
 //!
 //! Runs in the `scripts/ci.sh` deep stage with a pinned seed and 256
 //! cases per property.
@@ -16,7 +18,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tsg_bitset::BitSet;
-use tsg_graph::NodeLabel;
+use tsg_graph::{GraphDatabase, LabeledGraph, NodeLabel};
 use tsg_taxonomy::Taxonomy;
 use tsg_testkit::gen::arb_dag_taxonomy;
 
@@ -88,6 +90,20 @@ fn assert_equivalent(t: &Taxonomy) {
     }
 }
 
+/// An upward-closed keep set: the union of the ancestor closures of a
+/// few picked concepts.
+fn upward_closed_keep(t: &Taxonomy, picks: &[usize]) -> BitSet {
+    let concepts: Vec<NodeLabel> = t.concepts().collect();
+    let mut keep = BitSet::new(t.concept_count());
+    for p in picks {
+        let c = concepts[p % concepts.len()];
+        for a in t.ancestors(c).iter() {
+            keep.insert(a);
+        }
+    }
+    keep
+}
+
 proptest! {
     #[test]
     fn interval_labels_match_naive_closures(t in arb_dag_taxonomy(16)) {
@@ -104,17 +120,8 @@ proptest! {
         t in arb_dag_taxonomy(12),
         picks in prop::collection::vec(0..64usize, 1..4),
     ) {
-        // An upward-closed keep set: the union of the ancestor closures
-        // of a few randomly picked concepts.
         let n = t.concept_count();
-        let concepts: Vec<NodeLabel> = t.concepts().collect();
-        let mut keep = BitSet::new(n);
-        for p in picks {
-            let c = concepts[p % concepts.len()];
-            for a in t.ancestors(c).iter() {
-                keep.insert(a);
-            }
-        }
+        let keep = upward_closed_keep(&t, &picks);
         let r = t.restrict(&keep);
         prop_assert!(r.present_count() < n || t.present_count() == r.present_count());
         assert_equivalent(&r);
@@ -141,5 +148,36 @@ proptest! {
         }
         let t = tsg_taxonomy::taxonomy_from_edges(n, edges).unwrap();
         assert_equivalent(&t);
+    }
+
+    #[test]
+    fn label_frequencies_match_the_closure_definition(
+        t in arb_dag_taxonomy(12),
+        restrict in prop::bool::ANY,
+        picks in prop::collection::vec(0..64usize, 1..4),
+        graphs in prop::collection::vec(prop::collection::vec(0..16usize, 1..6), 0..6),
+    ) {
+        // Labels range past the concept count (out-of-range ids), and a
+        // restricted taxonomy adds absent concepts: neither counts.
+        let t = if restrict { t.restrict(&upward_closed_keep(&t, &picks)) } else { t };
+        let n = t.concept_count();
+        let db = GraphDatabase::from_graphs(
+            graphs
+                .iter()
+                .map(|labels| LabeledGraph::with_nodes(labels.iter().map(|&l| NodeLabel(l as u32))))
+                .collect(),
+        );
+        let mut want = vec![0usize; n];
+        for labels in &graphs {
+            let covered: BTreeSet<usize> = labels
+                .iter()
+                .filter(|&&l| l < n)
+                .flat_map(|&l| t.ancestors(NodeLabel(l as u32)).to_vec())
+                .collect();
+            for a in covered {
+                want[a] += 1;
+            }
+        }
+        prop_assert_eq!(t.generalized_label_frequencies(&db), want);
     }
 }

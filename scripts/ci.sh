@@ -54,7 +54,8 @@ cargo test --release -q -p tsg-bitset -p tsg-gspan -p taxogram-core -p tsg-serve
 
 # Lemma 7 pin: mine TD15 (64 classes, ~1M Step 3 support counts) in
 # release mode and require its exact Step 3 counters and pattern count,
-# so a support kernel that miscounts even one candidate fails here.
+# so a support kernel that miscounts even one candidate fails here, and
+# its occurrence-index update count (Lemma 5) on a deep taxonomy.
 echo "== TD15 Step 3 pin (release mine, exact counters) =="
 td15_dir="$(mktemp -d)"
 cargo run --release -q -p taxogram -- generate --dataset TD15 --scale 0.05 \
@@ -73,6 +74,33 @@ grep -qxF '# step 3: 120246 vectors, 1078188 intersections, 16790 over-generaliz
 }
 grep -q '^# mined 103456 patterns in ' <<<"$td15_out" || {
     echo "!! FAIL: TD15 did not mine 103456 patterns" >&2
+    exit 1
+}
+grep -qF ' 3026186 occurrence-index updates' <<<"$td15_out" || {
+    echo "!! FAIL: TD15 occurrence-index update count differs from 3026186" >&2
+    exit 1
+}
+
+# Lemma 5 pin on the wide GO-like taxonomy: mine D1000 in release mode
+# and require its exact summary and Step 3 lines. The index build counts
+# updates as the population of its bottom-up rows, so the update count
+# pins every (occurrence, admitted ancestor) pair under label pruning.
+echo "== D1000 OI pin (release mine, exact counters) =="
+d1000_dir="$(mktemp -d)"
+cargo run --release -q -p taxogram -- generate --dataset D1000 --scale 1.0 \
+    --out "$d1000_dir" >/dev/null
+d1000_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$d1000_dir/taxonomy.txt" --database "$d1000_dir/database.txt" \
+    --support 0.2 --max-edges 5)"
+rm -rf "$d1000_dir"
+grep -qxF '# 144 of 144 patterns after filter, 55 classes, 690809 occurrence-index updates' \
+    <<<"$d1000_out" || {
+    echo "!! FAIL: D1000 pattern, class or occurrence-index update counts differ from the pinned line" >&2
+    exit 1
+}
+grep -qxF '# step 3: 144 vectors, 5045 intersections, 0 over-generalized' \
+    <<<"$d1000_out" || {
+    echo "!! FAIL: D1000 Step 3 counters differ from the pinned line" >&2
     exit 1
 }
 
