@@ -4,8 +4,9 @@
 //!   across set densities;
 //! * generalized vs exact subgraph isomorphism cost (the paper's claim
 //!   that generalized matching is "at least as hard");
-//! * occurrence-index construction cost per embedding, and the index
-//!   build alone over every class of the same database;
+//! * occurrence-index construction cost per embedding, the index build
+//!   alone over every class of the same database, and Step 3 alone over
+//!   prebuilt indices of a deep taxonomy;
 //! * the fused Lemma 7 support kernel on an occurrence-index-shaped row
 //!   (DESIGN.md §8);
 //! * the serial engine vs the streaming pipelined engine.
@@ -135,11 +136,11 @@ fn pipeline_overhead(c: &mut Criterion) {
             let mut scratch = taxogram_core::oi::OiScratch::new();
             classes
                 .iter()
-                .map(|(labels, embeddings)| {
+                .map(|(skeleton, embeddings)| {
                     taxogram_core::oi::OccurrenceIndex::build_with_scratch(
                         embeddings,
                         &rel.originals,
-                        labels,
+                        skeleton.labels(),
                         &rel.taxonomy,
                         options,
                         &mut scratch,
@@ -149,20 +150,78 @@ fn pipeline_overhead(c: &mut Criterion) {
                 .sum::<usize>()
         });
     });
+    group.bench_function("enumerate", |b| {
+        // The serial engine's Step 3 alone on the deep-taxonomy shape: TD15
+        // (quick scale) at θ 0.3, ≤ 6 edges, every enhancement on. Every
+        // class's index is built up front; each iteration enumerates them
+        // all with one reused scratch, as one mine does.
+        let ds = tsg_datagen::registry::build(
+            tsg_datagen::registry::DatasetId::TD(15),
+            tsg_bench::Profile::quick().scale,
+        );
+        let rel = taxogram_core::relabel::relabel(&ds.database, &ds.taxonomy).unwrap();
+        let min_support = ds.database.min_support_count(0.3);
+        let mut frequent = BitSet::new(rel.taxonomy.concept_count());
+        for (i, &f) in rel.taxonomy.generalized_label_frequencies(&ds.database).iter().enumerate() {
+            if f >= min_support {
+                frequent.insert(i);
+            }
+        }
+        let options = taxogram_core::oi::OiOptions {
+            frequent: Some(&frequent),
+            contract_equal_sets: true,
+            predescend_roots: true,
+        };
+        let indexed: Vec<_> = collect_classes(&rel.dmg, min_support, 6)
+            .into_iter()
+            .map(|(skeleton, embeddings)| {
+                let oi = taxogram_core::oi::OccurrenceIndex::build(
+                    &embeddings,
+                    &rel.originals,
+                    skeleton.labels(),
+                    &rel.taxonomy,
+                    options,
+                );
+                (skeleton, oi)
+            })
+            .collect();
+        let cfg = taxogram_core::Enhancements::all();
+        let mut scratch = taxogram_core::enumerate::EnumScratch::new();
+        b.iter(|| {
+            indexed
+                .iter()
+                .map(|(skeleton, oi)| {
+                    let mut emitted = 0usize;
+                    taxogram_core::enumerate::enumerate_class_scratch(
+                        skeleton,
+                        oi,
+                        &rel.taxonomy,
+                        min_support,
+                        ds.database.len(),
+                        &cfg,
+                        false,
+                        &mut scratch,
+                        |_| emitted += 1,
+                    );
+                    emitted
+                })
+                .sum::<usize>()
+        });
+    });
     group.finish();
 }
 
-/// Every frequent class of `db` with its most-general labels and its
-/// embeddings, in gSpan's report order.
+/// Every frequent class of `db` with its skeleton (most-general labels)
+/// and its embeddings, in gSpan's report order.
 fn collect_classes(
     db: &tsg_graph::GraphDatabase,
     min_support: usize,
     max_edges: usize,
-) -> Vec<(Vec<tsg_graph::NodeLabel>, Vec<tsg_gspan::Embedding>)> {
-    struct Collect(Vec<(Vec<tsg_graph::NodeLabel>, Vec<tsg_gspan::Embedding>)>);
+) -> Vec<(tsg_graph::LabeledGraph, Vec<tsg_gspan::Embedding>)> {
+    struct Collect(Vec<(tsg_graph::LabeledGraph, Vec<tsg_gspan::Embedding>)>);
     impl tsg_gspan::PatternSink for Collect {
         fn report(&mut self, p: &tsg_gspan::MinedPattern<'_>) -> tsg_gspan::Grow {
-            self.0.push((p.graph.labels().to_vec(), p.embeddings.to_vec()));
+            self.0.push((p.graph.clone(), p.embeddings.to_vec()));
             tsg_gspan::Grow::Continue
         }
     }

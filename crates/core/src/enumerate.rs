@@ -15,14 +15,38 @@
 //! The paper suppresses duplicate label vectors with processed-node sets
 //! (PNS) plus a follow-up check for over-generalized patterns hidden by the
 //! PNS cutoff (Example 3.8), and marks visited labels to handle shared
-//! children in DAG taxonomies. This implementation achieves the same
-//! effect with one mechanism: every vector is canonicalized under the
-//! skeleton's automorphism group and recorded in a per-class visited set,
-//! so each *pattern* (not each vector) is expanded exactly once. This also
-//! covers a case the PNS discussion leaves implicit: on symmetric
-//! skeletons, distinct vectors (e.g. `(b,c)` and `(c,b)` on the symmetric
-//! edge `a—a`) denote the same pattern. Because the over-generalization
-//! test always probes *all* positions, no follow-up pass is needed.
+//! children in DAG taxonomies. This implementation needs neither, nor any
+//! visited set: it is a reverse search (Avis & Fukuda, 1996). Every
+//! vector `w` other than the start vector has one **canonical parent**:
+//! `w` with its last non-root position `p` generalized to that label's
+//! canonical parent in entry `p` — its smallest-local-id alive parent in
+//! the (contracted) entry DAG, recorded by the index build
+//! ([`crate::oi::OiEntry::canonical_parent`]). A frequent child
+//! `w = v[pos := c]` is descended into only from its canonical parent,
+//! which on a skeleton with a trivial automorphism group is the O(1) test
+//! `pos ≥ floor && cparent(c) == v[pos]`, `floor` being the position of
+//! the move that produced `v` (every later position of `v` is still its
+//! root).
+//!
+//! On a symmetric skeleton, distinct vectors (e.g. `(b,c)` and `(c,b)` on
+//! the symmetric edge `a—a`) denote one pattern, so the rule applies to
+//! orbits: with `u` the automorphism-canonical form of `w` and `p` its last
+//! non-root position, `w` is descended into iff canon(`u[p := cparent]`)
+//! equals canon(`v`), and no earlier sibling move from `v` gave the same
+//! `u` (siblings are compared in a per-vector list, decided before any
+//! child is descended into). Automorphic positions have identical entries
+//! up to their rows (the class's embeddings are closed under the
+//! skeleton's automorphisms), so local ids are compared across positions.
+//!
+//! **Exactness.** A canonical parent generalizes its child, so it is
+//! frequent (rows are OR-closed upward, hence support is antitone), it is
+//! strictly more general, and it reaches the start vector through further
+//! canonical parents. By induction on depth, every frequent vector (every
+//! frequent orbit, on a symmetric skeleton) is descended into exactly once,
+//! as under the visited set this replaces, so the work counters
+//! (`vectors_visited`, `intersections`, `emitted`, `overgeneralized`) are
+//! the same. Because the over-generalization test always probes *all*
+//! positions, no PNS follow-up pass is needed either.
 //!
 //! ### Emission order
 //!
@@ -39,12 +63,11 @@
 // tsg-lint: allow(index) — pos walks v, whose entries the traversal itself pushed below the entry count; output rows index the class buffer this file fills
 
 use crate::config::Enhancements;
-use crate::oi::{LocalId, OccurrenceIndex};
+use crate::oi::{LocalId, OccurrenceIndex, OiEntry};
 use tsg_bitset::{distinct_run_count, BitSet};
 use tsg_graph::{LabeledGraph, NodeLabel};
-use tsg_iso::{automorphisms, canonical_under_automorphisms, canonical_under_automorphisms_into};
+use tsg_iso::{automorphisms, canonical_under_automorphisms_into};
 use tsg_taxonomy::Taxonomy;
-use std::collections::HashSet;
 
 /// Counters reported per mining run (summed over classes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,15 +94,13 @@ pub struct EmittedPattern<'a> {
     pub support: usize,
 }
 
-/// Reusable per-worker enumeration scratch: the visited set, the label
-/// buffer, the class's pending output, and pools of dense working sets
-/// and work vectors. One `EnumScratch` serves
-/// any number of classes in sequence; after a few classes of warm-up,
-/// enumeration allocates only for visited-set keys (which must be owned
-/// by the set).
+/// Reusable per-worker enumeration scratch: the label buffer, the class's
+/// pending output, the reverse-search buffers, the baseline probe's queue
+/// and seen mask, and pools of dense working sets and work vectors. One
+/// `EnumScratch` serves any number of classes in sequence; after a few
+/// classes of warm-up, enumeration allocates nothing per vector.
 #[derive(Debug, Default)]
 pub struct EnumScratch {
-    visited: HashSet<Vec<NodeLabel>>,
     label_buf: Vec<NodeLabel>,
     /// The class's patterns so far, canonical vectors back to back.
     out_labels: Vec<NodeLabel>,
@@ -87,6 +108,22 @@ pub struct EnumScratch {
     out_supports: Vec<usize>,
     /// Emission order: buffer indices sorted by canonical vector.
     out_order: Vec<usize>,
+    /// The class's start vector: each entry's root.
+    roots: Vec<LocalId>,
+    /// Symmetric skeletons: the canonical form of the current vector, a
+    /// candidate vector, and the canonical form of a child and of its
+    /// canonical parent, all over local ids.
+    canon_v: Vec<LocalId>,
+    candidate: Vec<LocalId>,
+    canon_child: Vec<LocalId>,
+    canon_parent: Vec<LocalId>,
+    /// Symmetric skeletons: canonical forms of the children accepted from
+    /// the current vector, back to back.
+    siblings: Vec<LocalId>,
+    /// Baseline probe: labels reached below the replaced one, in probe
+    /// order, and a dense per-local-id mark of those.
+    probe_queue: Vec<LocalId>,
+    probe_seen: Vec<bool>,
     /// Retired dense working sets, re-targeted via
     /// [`BitSet::intersection_into`].
     dense_pool: Vec<BitSet>,
@@ -101,11 +138,12 @@ impl EnumScratch {
     }
 
     /// Re-arms the per-class state (pools persist across classes).
-    fn begin_class(&mut self) {
-        self.visited.clear();
+    fn begin_class(&mut self, oi: &OccurrenceIndex) {
         self.label_buf.clear();
         self.out_labels.clear();
         self.out_supports.clear();
+        self.roots.clear();
+        self.roots.extend(oi.entries.iter().map(OiEntry::root));
     }
 }
 
@@ -115,6 +153,8 @@ struct Ctx<'a> {
     cfg: &'a Enhancements,
     taxonomy: &'a Taxonomy,
     autos: Vec<Vec<usize>>,
+    /// `true` iff the skeleton has a non-identity automorphism.
+    symmetric: bool,
     keep_overgeneralized: bool,
     s: &'a mut EnumScratch,
     stats: EnumerationStats,
@@ -196,26 +236,29 @@ pub fn enumerate_class_scratch<F: FnMut(EmittedPattern<'_>)>(
         oi.occ_graph.last().is_none_or(|&g| (g as usize) < db_len),
         "occurrence graph ids lie inside the database"
     );
-    scratch.begin_class();
+    scratch.begin_class(oi);
+    let autos = automorphisms(skeleton);
+    debug_assert!(
+        automorphic_entries_agree(oi, &autos),
+        "automorphic positions have identical entries"
+    );
     let mut ctx = Ctx {
         oi,
         min_support,
         cfg,
         taxonomy,
-        autos: automorphisms(skeleton),
+        symmetric: autos.len() > 1,
+        autos,
         keep_overgeneralized,
         s: scratch,
         stats: EnumerationStats::default(),
     };
     // The start vector is each entry's root: the most-general label, or a
     // deeper equal-occurrence label when enhancement (c)/(d) contracted it.
-    let mut v: Vec<LocalId> = oi.entries.iter().map(|e| e.root()).collect();
+    let mut v: Vec<LocalId> = ctx.s.roots.clone();
     let ocs = oi.full_set();
     let sup = distinct_run_count(&ocs, &ocs, &oi.graph_starts);
-    ctx.fill_labels(&v);
-    let key = canonical_under_automorphisms(&ctx.s.label_buf, &ctx.autos);
-    ctx.s.visited.insert(key);
-    recurse(&mut ctx, &mut v, &ocs, sup);
+    recurse(&mut ctx, &mut v, &ocs, sup, 0);
     let stats = ctx.stats;
     // Emit in canonical-vector order (module docs, "Emission order").
     let n = oi.entries.len();
@@ -235,12 +278,12 @@ pub fn enumerate_class_scratch<F: FnMut(EmittedPattern<'_>)>(
     stats
 }
 
-fn recurse(
-    ctx: &mut Ctx<'_>,
-    v: &mut Vec<LocalId>,
-    ocs: &BitSet,
-    sup: usize,
-) {
+/// Visits the frequent vector `v` (occurrence set `ocs`, support `sup`):
+/// probes every one-step child, emits `v` unless it is over-generalized,
+/// and descends into the frequent children whose canonical parent `v` is.
+/// `floor` is the position of the move that produced `v`; every later
+/// position of `v` holds its entry's root.
+fn recurse(ctx: &mut Ctx<'_>, v: &mut Vec<LocalId>, ocs: &BitSet, sup: usize, floor: usize) {
     ctx.stats.vectors_visited += 1;
     let mut overgeneralized = false;
     // (position, child local id, child support) triples worth descending
@@ -248,7 +291,8 @@ fn recurse(
     let mut work = ctx.s.work_pool.pop().unwrap_or_default();
     let oi = ctx.oi;
     for (pos, entry) in oi.entries.iter().enumerate() {
-        for &child in entry.children(v[pos]) {
+        let here = v[pos];
+        for &child in entry.children(here) {
             let cset = entry.occs(child);
             ctx.stats.intersections += 1;
             // Lemma 7: the candidate's support is one word-parallel
@@ -263,7 +307,14 @@ fn recurse(
                 overgeneralized = true;
             }
             if child_sup >= ctx.min_support {
-                work.push((pos, child, child_sup));
+                // Reverse search (module docs): without symmetry, `v` is
+                // the child's canonical parent iff the move is at or past
+                // `v`'s last non-root position and replaces the child's
+                // canonical parent. Symmetric skeletons decide per orbit
+                // below.
+                if ctx.symmetric || (pos >= floor && entry.canonical_parent(child) == here) {
+                    work.push((pos, child, child_sup));
+                }
             } else if !ctx.cfg.apriori_child_prune {
                 // Enhancement (a) disabled — the paper's baseline still
                 // "checks patterns created via replacement of n with any
@@ -293,45 +344,106 @@ fn recurse(
             ctx.stats.overgeneralized += 1;
         }
     }
+    if ctx.symmetric {
+        retain_canonical_children(ctx, v, &mut work);
+    }
     for (pos, child, child_sup) in work.drain(..) {
         let parent = std::mem::replace(&mut v[pos], child);
-        ctx.fill_labels(v);
-        let key = canonical_under_automorphisms(&ctx.s.label_buf, &ctx.autos);
-        if ctx.s.visited.insert(key) {
-            // The next level's working set comes from the per-worker pool
-            // (re-targeted in place), so descending allocates nothing once
-            // the pool has grown to the recursion depth.
-            let mut child_ocs = ctx.s.dense_pool.pop().unwrap_or_default();
-            ctx.oi.entries[pos]
-                .occs(child)
-                .intersection_into(ocs, &mut child_ocs);
-            recurse(ctx, v, &child_ocs, child_sup);
-            ctx.s.dense_pool.push(child_ocs);
-        }
+        // The next level's working set comes from the per-worker pool
+        // (re-targeted in place), so descending allocates nothing once
+        // the pool has grown to the recursion depth.
+        let mut child_ocs = ctx.s.dense_pool.pop().unwrap_or_default();
+        ctx.oi.entries[pos]
+            .occs(child)
+            .intersection_into(ocs, &mut child_ocs);
+        recurse(ctx, v, &child_ocs, child_sup, pos);
+        ctx.s.dense_pool.push(child_ocs);
         v[pos] = parent;
     }
     ctx.s.work_pool.push(work);
 }
 
-/// Baseline-mode wasted work: computes an intersection count for every
-/// strict descendant of `below` present in the entry (BFS over the entry's
-/// DAG, each label probed once).
-fn probe_descendants(
+/// Symmetric skeletons: keeps the moves of `work` (frequent children of
+/// `v`) whose orbit has `v`'s orbit as its canonical parent, one move per
+/// child orbit (module docs, "Duplicate suppression"). Runs before any
+/// child of `v` is descended into, so the scratch buffers it fills are
+/// `v`'s alone while it reads them.
+fn retain_canonical_children(
     ctx: &mut Ctx<'_>,
-    entry: &crate::oi::OiEntry,
-    below: LocalId,
-    ocs: &BitSet,
+    v: &[LocalId],
+    work: &mut Vec<(usize, LocalId, usize)>,
 ) {
-    let mut queue: Vec<LocalId> = entry.children(below).to_vec();
-    let mut seen: HashSet<LocalId> = queue.iter().copied().collect();
-    while let Some(l) = queue.pop() {
-        ctx.stats.intersections += 1;
-        std::hint::black_box(distinct_run_count(entry.occs(l), ocs, &ctx.oi.graph_starts));
-        for &c in entry.children(l) {
-            if seen.insert(c) {
-                queue.push(c);
+    let Ctx { oi, autos, s, .. } = ctx;
+    let n = v.len();
+    s.canon_v.clear();
+    canonical_under_automorphisms_into(v, autos, &mut s.canon_v);
+    s.siblings.clear();
+    work.retain(|&(pos, child, _)| {
+        s.candidate.clear();
+        s.candidate.extend_from_slice(v);
+        s.candidate[pos] = child;
+        s.canon_child.clear();
+        canonical_under_automorphisms_into(&s.candidate, autos, &mut s.canon_child);
+        let u = &s.canon_child;
+        // `u` differs from the start vector somewhere: the move replaced
+        // a label by one of its children, and roots have no parents.
+        let Some(p) = (0..n).rev().find(|&i| u[i] != s.roots[i]) else {
+            return false;
+        };
+        s.candidate.clear();
+        s.candidate.extend_from_slice(u);
+        s.candidate[p] = oi.entries[p].canonical_parent(u[p]);
+        s.canon_parent.clear();
+        canonical_under_automorphisms_into(&s.candidate, autos, &mut s.canon_parent);
+        if s.canon_parent != s.canon_v || s.siblings.chunks_exact(n).any(|w| w == u.as_slice()) {
+            return false;
+        }
+        s.siblings.extend_from_slice(u);
+        true
+    });
+}
+
+/// `true` iff every automorphism maps each position to one whose entry
+/// has the same root and the same labels under the same local ids — what
+/// lets [`retain_canonical_children`] compare local ids across positions.
+fn automorphic_entries_agree(oi: &OccurrenceIndex, autos: &[Vec<usize>]) -> bool {
+    autos.iter().all(|pi| {
+        pi.iter().enumerate().all(|(i, &j)| {
+            let (a, b) = (&oi.entries[i], &oi.entries[j]);
+            a.root() == b.root()
+                && a.id_bound() == b.id_bound()
+                && (0..a.id_bound() as LocalId).all(|id| a.label_of(id) == b.label_of(id))
+        })
+    })
+}
+
+/// Baseline-mode wasted work: computes an intersection count for every
+/// strict descendant of `below` present in the entry (a walk over the
+/// entry's DAG through a dense seen mask, each label probed once).
+fn probe_descendants(ctx: &mut Ctx<'_>, entry: &OiEntry, below: LocalId, ocs: &BitSet) {
+    let Ctx { oi, s, stats, .. } = ctx;
+    if s.probe_seen.len() < entry.id_bound() {
+        s.probe_seen.resize(entry.id_bound(), false);
+    }
+    s.probe_queue.clear();
+    let mut next = below;
+    let mut head = 0;
+    loop {
+        for &c in entry.children(next) {
+            if !std::mem::replace(&mut s.probe_seen[c as usize], true) {
+                s.probe_queue.push(c);
             }
         }
+        let Some(&l) = s.probe_queue.get(head) else {
+            break;
+        };
+        head += 1;
+        stats.intersections += 1;
+        std::hint::black_box(distinct_run_count(entry.occs(l), ocs, &oi.graph_starts));
+        next = l;
+    }
+    for &l in &s.probe_queue {
+        s.probe_seen[l as usize] = false;
     }
 }
 
@@ -353,6 +465,16 @@ mod tests {
     fn enumerate_figure_1_4(
         min_support: usize,
         cfg: Enhancements,
+    ) -> (samples::SampleConcepts, Vec<(Vec<NodeLabel>, usize)>, EnumerationStats) {
+        enumerate_figure_1_4_full(min_support, cfg, false)
+    }
+
+    /// [`enumerate_figure_1_4`], optionally keeping over-generalized
+    /// patterns.
+    fn enumerate_figure_1_4_full(
+        min_support: usize,
+        cfg: Enhancements,
+        keep_overgeneralized: bool,
     ) -> (samples::SampleConcepts, Vec<(Vec<NodeLabel>, usize)>, EnumerationStats) {
         let (c, t) = samples::sample_taxonomy();
         let db = samples::figure_1_4_database(&c);
@@ -410,13 +532,14 @@ mod tests {
             },
         );
         let mut out = Vec::new();
-        let stats = enumerate_class(
+        let stats = enumerate_class_full(
             &skeleton,
             &oi,
             &rel.taxonomy,
             min_support,
             db.len(),
             &cfg,
+            keep_overgeneralized,
             |p| out.push((p.labels.to_vec(), p.support)),
         );
         out.sort();
@@ -512,6 +635,30 @@ mod tests {
             k.sort();
             assert!(seen.insert(k), "duplicate pattern {v:?}");
         }
+    }
+
+    #[test]
+    fn symmetric_sibling_moves_expand_once() {
+        // On the symmetric edge a—a at θ = 2/3, replacing either end by b
+        // is a frequent move from the start vector: (b,a) and (a,b) are
+        // one pattern, a—b (support 2, see above), and both have the
+        // start vector as canonical parent. Only the first sibling may be
+        // descended into. With over-generalized patterns kept, every
+        // visited vector is emitted, so a second expansion would emit a—b
+        // twice.
+        let (c, got, stats) = enumerate_figure_1_4_full(2, Enhancements::none(), true);
+        assert_eq!(stats.emitted, stats.vectors_visited);
+        assert_eq!(got.len(), stats.emitted);
+        let a_b: Vec<_> = got
+            .iter()
+            .filter(|(v, _)| {
+                let mut k = v.clone();
+                k.sort();
+                k == vec![c.a, c.b]
+            })
+            .collect();
+        assert_eq!(a_b.len(), 1, "a—b expanded more than once: {got:?}");
+        assert_eq!(a_b[0].1, 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The Taxogram pipeline: Step 1 → Step 2 → Step 3.
 
 use crate::config::TaxogramConfig;
-use crate::enumerate::EnumerationStats;
+use crate::enumerate::{EnumScratch, EnumerationStats};
 use crate::error::TaxogramError;
 use crate::govern::{GovernOptions, Governor, MiningOutcome, Termination};
 use crate::oi::{OccurrenceIndex, OiOptions, OiScratch};
@@ -197,6 +197,7 @@ impl Taxogram {
             governor,
             rejected: None,
             oi_scratch: OiScratch::new(),
+            enum_scratch: EnumScratch::new(),
         };
         let gspan = GSpan::new(
             &rel.dmg,
@@ -242,6 +243,8 @@ struct ClassSink<'a> {
     rejected: Option<String>,
     /// Index-construction scratch, reused by every class of the run.
     oi_scratch: OiScratch,
+    /// Step 3 scratch, reused by every class of the run.
+    enum_scratch: EnumScratch,
 }
 
 impl PatternSink for ClassSink<'_> {
@@ -277,7 +280,7 @@ impl PatternSink for ClassSink<'_> {
         let t_enum = std::time::Instant::now();
         let (patterns, stats) = {
             let mut emitted: Vec<Pattern> = Vec::new();
-            let s = crate::enumerate::enumerate_class_full(
+            let s = crate::enumerate::enumerate_class_scratch(
                 skeleton,
                 &oi,
                 taxonomy,
@@ -285,6 +288,7 @@ impl PatternSink for ClassSink<'_> {
                 db_len,
                 &self.config.enhancements,
                 self.config.keep_overgeneralized,
+                &mut self.enum_scratch,
                 |p| {
                     let mut g = skeleton.clone();
                     for (i, &l) in p.labels.iter().enumerate() {

@@ -67,9 +67,18 @@ pub struct OiNode {
     /// restricted to covered labels, possibly rewired by contraction), as
     /// local ids.
     pub children: Vec<LocalId>,
+    /// The label's canonical parent: its smallest-local-id alive parent
+    /// in the entry's DAG (after contraction's rewiring), or [`NO_PARENT`]
+    /// at the root. Step 3's reverse search descends into a vector only
+    /// from the one vector that generalizes its last non-root position to
+    /// this parent (`crate::enumerate`, "Duplicate suppression").
+    canonical_parent: LocalId,
     /// `false` once removed by contraction.
     alive: bool,
 }
+
+/// The canonical parent recorded for an entry root, which has none.
+pub const NO_PARENT: LocalId = LocalId::MAX;
 
 /// The occurrence index entry of one pattern node: a sub-taxonomy rooted
 /// at the node's most-general label, with labels interned to local ids.
@@ -112,6 +121,20 @@ impl OiEntry {
     #[inline]
     pub fn children(&self, id: LocalId) -> &[LocalId] {
         &self.nodes[id as usize].children
+    }
+
+    /// The canonical parent of a local id: its smallest-local-id alive
+    /// parent within the entry, or [`NO_PARENT`] for the root. Its row is
+    /// a superset of the label's.
+    #[inline]
+    pub fn canonical_parent(&self, id: LocalId) -> LocalId {
+        self.nodes[id as usize].canonical_parent
+    }
+
+    /// One past the largest local id, dead labels included: the size of a
+    /// dense per-label array over the entry.
+    pub(crate) fn id_bound(&self) -> usize {
+        self.nodes.len()
     }
 
     /// `true` iff `label` is present (and not contracted away).
@@ -453,6 +476,7 @@ impl OccurrenceIndex {
                 nodes.push(OiNode {
                     occs,
                     children: Vec::new(),
+                    canonical_parent: NO_PARENT,
                     alive: true,
                 });
                 slots[labels[id].index()] = id as LocalId;
@@ -461,10 +485,15 @@ impl OccurrenceIndex {
             // *parents* (typically one or two on real ontologies) rather
             // than its taxonomy children (hundreds for top-level concepts
             // in wide taxonomies). Registration gave every parent a row.
+            // The smallest parent id is the label's canonical parent.
             for id in 0..nodes.len() as u32 {
+                let mut canonical = NO_PARENT;
                 for p in taxonomy.parents(labels[id as usize]) {
-                    nodes[slots[p.index()] as usize].children.push(id);
+                    let pid = slots[p.index()];
+                    nodes[pid as usize].children.push(id);
+                    canonical = canonical.min(pid);
                 }
+                nodes[id as usize].canonical_parent = canonical;
             }
             let root = slots[mg.index()];
             assert!(
@@ -587,6 +616,17 @@ fn contract(entry: &mut OiEntry, roots_only: bool) {
             entry.root = child;
             queue.push(child);
         }
+    }
+    // Canonical parents over the rewired DAG: `parents` lists every alive
+    // parent of an alive label (plus contracted ones, skipped here).
+    for (id, ps) in parents.iter().enumerate() {
+        let canonical = ps
+            .iter()
+            .copied()
+            .filter(|&p| entry.nodes[p as usize].alive)
+            .min()
+            .unwrap_or(NO_PARENT);
+        entry.nodes[id].canonical_parent = canonical;
     }
 }
 
@@ -873,6 +913,7 @@ mod tests {
             nodes.push(OiNode {
                 occs: BitSet::from_iter_with_universe(universe, occs.iter().copied()),
                 children: children.to_vec(),
+                canonical_parent: NO_PARENT,
                 alive: true,
             });
         }

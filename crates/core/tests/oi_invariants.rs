@@ -14,10 +14,14 @@
 //!   and update count;
 //! * the graph-start row marks exactly the occurrences that open a new
 //!   graph's run — the first one, and each whose graph id differs from
-//!   its predecessor's.
+//!   its predecessor's;
+//! * every non-root alive label's canonical parent is its smallest-id
+//!   alive parent, with a row that is a superset of the label's, with and
+//!   without contraction (Step 3's reverse search descends along it).
 
 use proptest::prelude::*;
-use taxogram_core::oi::{OccurrenceIndex, OiOptions, OiScratch};
+use proptest::TestCaseError;
+use taxogram_core::oi::{LocalId, OccurrenceIndex, OiEntry, OiOptions, OiScratch, NO_PARENT};
 use taxogram_core::relabel::{relabel, Relabeled};
 use tsg_bitset::BitSet;
 use tsg_graph::{EdgeLabel, GraphDatabase, LabeledGraph, NodeLabel};
@@ -159,6 +163,30 @@ fn naive_build(
     (entries, updates)
 }
 
+/// Checks that every alive label's canonical parent is its smallest
+/// alive parent in the entry ([`NO_PARENT`] at the root, which has none)
+/// and that the parent's row is a superset of the label's.
+fn check_canonical_parents(entry: &OiEntry) -> Result<(), TestCaseError> {
+    let alive: Vec<LocalId> = entry.live_labels().map(|l| entry.lookup(l).unwrap()).collect();
+    for &id in &alive {
+        let label = entry.label_of(id);
+        let smallest = alive.iter().copied().filter(|&p| entry.children(p).contains(&id)).min();
+        let canonical = entry.canonical_parent(id);
+        if id == entry.root() {
+            prop_assert_eq!(smallest, None, "the root {} has a parent", label);
+            prop_assert_eq!(canonical, NO_PARENT, "the root {}", label);
+            continue;
+        }
+        prop_assert_eq!(Some(canonical), smallest, "canonical parent of {}", label);
+        prop_assert!(
+            entry.occs(id).is_subset(entry.occs(canonical)),
+            "the canonical parent's row must cover {}'s",
+            label
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -189,6 +217,20 @@ proptest! {
             for i in 0..oi.universe {
                 let opens_run = i == 0 || embeddings[i].gid != embeddings[i - 1].gid;
                 prop_assert_eq!(oi.graph_starts.contains(i), opens_run, "occurrence {}", i);
+            }
+            let contracted = OccurrenceIndex::build(
+                embeddings,
+                &rel.originals,
+                skeleton.labels(),
+                &rel.taxonomy,
+                OiOptions {
+                    frequent: frequent.as_ref(),
+                    contract_equal_sets: true,
+                    predescend_roots: true,
+                },
+            );
+            for entry in oi.entries.iter().chain(&contracted.entries) {
+                check_canonical_parents(entry)?;
             }
             for (pos, entry) in oi.entries.iter().enumerate() {
                 // Root covers everything.

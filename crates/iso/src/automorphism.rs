@@ -54,19 +54,20 @@ pub fn canonical_under_automorphisms(
 }
 
 /// [`canonical_under_automorphisms`], appending the canonical vector to
-/// `out` instead of allocating one.
+/// `out` instead of allocating one. Any per-vertex values with a total
+/// order canonicalize the same way, e.g. Step 3's per-entry local ids.
 ///
 /// # Panics
 /// Panics if some permutation's length differs from `labels`'s.
-pub fn canonical_under_automorphisms_into(
-    labels: &[NodeLabel],
+pub fn canonical_under_automorphisms_into<T: Copy + Ord>(
+    labels: &[T],
     autos: &[Vec<NodeId>],
-    out: &mut Vec<NodeLabel>,
+    out: &mut Vec<T>,
 ) {
-    fn image<'a>(
-        labels: &'a [NodeLabel],
+    fn image<'a, T: Copy>(
+        labels: &'a [T],
         pi: &'a [NodeId],
-    ) -> impl Iterator<Item = NodeLabel> + 'a {
+    ) -> impl Iterator<Item = T> + 'a {
         assert_eq!(pi.len(), labels.len(), "permutation length mismatch");
         pi.iter().map(move |&img| labels[img]) // tsg-lint: allow(index) — img is a permutation image within node count
     }

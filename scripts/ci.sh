@@ -104,6 +104,38 @@ grep -qxF '# step 3: 144 vectors, 5045 intersections, 0 over-generalized' \
     exit 1
 }
 
+# Symmetric-skeleton pin: D1000 at scale 0.2 (20 of its 101 classes have
+# a non-trivial automorphism group), mined in release mode with every
+# enhancement and again as the baseline (no contraction, no Apriori
+# pruning). Step 3 descends into each pattern orbit from its one
+# canonical parent, so its exact counters pin the orbit rule too.
+echo "== D1000 s0.2 symmetric-skeleton pin (release mine, exact counters) =="
+d02_dir="$(mktemp -d)"
+cargo run --release -q -p taxogram -- generate --dataset D1000 --scale 0.2 \
+    --out "$d02_dir" >/dev/null
+d02_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$d02_dir/taxonomy.txt" --database "$d02_dir/database.txt" \
+    --support 0.1 --max-edges 5)"
+d02_base_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$d02_dir/taxonomy.txt" --database "$d02_dir/database.txt" \
+    --support 0.1 --max-edges 5 --baseline true)"
+rm -rf "$d02_dir"
+grep -qxF '# 2272 of 2272 patterns after filter, 101 classes, 287322 occurrence-index updates' \
+    <<<"$d02_out" || {
+    echo "!! FAIL: D1000 s0.2 pattern, class or occurrence-index update counts differ from the pinned line" >&2
+    exit 1
+}
+grep -qxF '# step 3: 2749 vectors, 23820 intersections, 477 over-generalized' \
+    <<<"$d02_out" || {
+    echo "!! FAIL: D1000 s0.2 Step 3 counters differ from the pinned line" >&2
+    exit 1
+}
+grep -qxF '# step 3: 2946 vectors, 1588631 intersections, 674 over-generalized' \
+    <<<"$d02_base_out" || {
+    echo "!! FAIL: D1000 s0.2 baseline Step 3 counters differ from the pinned line" >&2
+    exit 1
+}
+
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc stage: every intra-doc link must resolve, so a doc comment
