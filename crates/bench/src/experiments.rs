@@ -526,8 +526,8 @@ pub fn governed(
 /// Beyond the paper: thread scaling of the pipelined engine on the D3000
 /// dataset at θ = 0.2 (the shared-memory half of the paper's
 /// "disk-based algorithms" future work; the out-of-core half is the
-/// sharded miner, `taxogram_core::shard`). The engine clamps the
-/// requested thread count to the host's cores.
+/// sharded miner, `taxogram_core::shard`). Thread counts are taken as
+/// given, so rows past the host's cores oversubscribe them.
 pub fn parallel_scaling(profile: &Profile) -> Vec<ParallelRow> {
     let ds = build(DatasetId::D(3000), profile.scale);
     let mut cfg = TaxogramConfig::with_threshold(THETA);

@@ -1,14 +1,18 @@
-//! The Taxogram pipeline: Step 1 → Step 2 → Step 3.
+//! The Taxogram pipeline: Step 1 → Step 2 → Step 3, and the per-class
+//! path every engine shares: [`enumerate_class`] per class, folded in by
+//! [`MiningResult::add_class`]. The in-memory engines start from
+//! [`prepare`].
 
 use crate::config::TaxogramConfig;
 use crate::enumerate::{EnumScratch, EnumerationStats};
 use crate::error::TaxogramError;
+use crate::gauge::MemoryGauge;
 use crate::govern::{GovernOptions, Governor, MiningOutcome, Termination};
 use crate::oi::{OccurrenceIndex, OiOptions, OiScratch};
-use crate::relabel::relabel;
+use crate::relabel::{relabel, Relabeled};
 use tsg_bitset::BitSet;
 use tsg_graph::{GraphDatabase, LabeledGraph};
-use tsg_gspan::{GSpan, GSpanConfig, GSpanStats, Grow, MinedPattern, PatternSink};
+use tsg_gspan::{Embedding, GSpan, GSpanConfig, GSpanStats, Grow, MinedPattern, PatternSink};
 use tsg_taxonomy::Taxonomy;
 
 /// A mined taxonomy-superimposed pattern.
@@ -57,8 +61,7 @@ pub struct MiningStats {
     /// Backpressure steals: queued classes the pipelined engine's gSpan
     /// producer took back from a full channel and enumerated itself
     /// instead of blocking ([`crate::mine_pipelined`]). Zero for the
-    /// serial and sharded miners and for the pipelined engine's inline
-    /// single-core path.
+    /// serial and sharded miners.
     pub steals: usize,
 }
 
@@ -76,6 +79,35 @@ pub struct MiningResult {
 }
 
 impl MiningResult {
+    /// A result with no class mined yet.
+    pub(crate) fn empty(min_support_count: usize, database_size: usize) -> Self {
+        MiningResult {
+            patterns: Vec::new(),
+            stats: MiningStats::default(),
+            min_support_count,
+            database_size,
+        }
+    }
+
+    /// Appends one class's patterns and folds in its counters: each is
+    /// summed, except `peak_oi_bytes`, which keeps the largest single
+    /// index (the engines with gauges overwrite it with their concurrent
+    /// peak).
+    pub(crate) fn add_class(&mut self, class: ClassOutput) {
+        self.patterns.extend(class.patterns);
+        let (s, c) = (&mut self.stats, &class.stats);
+        s.classes += 1;
+        s.occurrences += c.occurrences;
+        s.oi_updates += c.oi_updates;
+        s.peak_oi_bytes = s.peak_oi_bytes.max(c.peak_oi_bytes);
+        s.oi_build_ms += c.oi_build_ms;
+        s.enumerate_ms += c.enumerate_ms;
+        s.enumeration.vectors_visited += c.enumeration.vectors_visited;
+        s.enumeration.intersections += c.enumeration.intersections;
+        s.enumeration.emitted += c.enumeration.emitted;
+        s.enumeration.overgeneralized += c.enumeration.overgeneralized;
+    }
+
     /// Finds a pattern isomorphic to `g`, if present.
     pub fn find_isomorphic(&self, g: &LabeledGraph) -> Option<&Pattern> {
         self.patterns.iter().find(|p| tsg_iso::is_isomorphic(&p.graph, g))
@@ -149,96 +181,51 @@ impl Taxogram {
         taxonomy: &Taxonomy,
         governor: &Governor,
     ) -> Result<(MiningResult, Termination), TaxogramError> {
-        let theta = self.config.threshold;
-        if !(0.0..=1.0).contains(&theta) || theta.is_nan() {
-            return Err(TaxogramError::InvalidThreshold { theta });
-        }
-        let min_support = db.min_support_count(theta);
-        if db.is_empty() {
-            return Ok((
-                MiningResult {
-                    patterns: Vec::new(),
-                    stats: MiningStats::default(),
-                    min_support_count: min_support,
-                    database_size: 0,
-                },
-                Termination::completed(0),
-            ));
-        }
-
-        // Step 1: relabel with most-general ancestors.
-        let rel = relabel(db, taxonomy)?;
-
-        // Enhancement (b): compute which concepts are generalized-frequent.
-        let frequent_mask = if self.config.enhancements.prune_infrequent_labels {
-            let freqs = rel.taxonomy.generalized_label_frequencies(db);
-            let mut mask = BitSet::new(rel.taxonomy.concept_count());
-            for (i, &f) in freqs.iter().enumerate() {
-                if f >= min_support {
-                    mask.insert(i);
-                }
-            }
-            Some(mask)
-        } else {
-            None
+        let prepared = match prepare(&self.config, db, taxonomy)? {
+            Prologue::Done(result) => return Ok((result, Termination::completed(0))),
+            Prologue::Ready(p) => p,
         };
 
         // Steps 2+3 interleaved: each class reported by gSpan is indexed
         // and enumerated immediately, so only one occurrence index is
         // resident at a time.
         let mut sink = ClassSink {
-            rel: &rel,
-            db_len: db.len(),
-            min_support,
+            prepared: &prepared,
             config: &self.config,
-            frequent: frequent_mask.as_ref(),
-            patterns: Vec::new(),
-            stats: MiningStats::default(),
             governor,
+            result: MiningResult::empty(prepared.min_support, prepared.db_len),
             rejected: None,
             oi_scratch: OiScratch::new(),
             enum_scratch: EnumScratch::new(),
         };
         let gspan = GSpan::new(
-            &rel.dmg,
+            &prepared.rel.dmg,
             GSpanConfig {
-                min_support,
+                min_support: prepared.min_support,
                 max_edges: self.config.max_edges,
             },
         )
         .mine(&mut sink);
-        sink.stats.gspan = gspan;
+        sink.result.stats.gspan = gspan;
 
         // Classes are admitted in canonical pre-order on this one thread,
         // so at most one class — the rejected one — is ever abandoned,
         // and the output is exactly the first `classes` classes.
         let rejected = sink.rejected;
         let termination = governor.finish(
-            sink.stats.classes,
+            sink.result.stats.classes,
             usize::from(rejected.is_some()),
             rejected.into_iter().collect(),
         );
-        Ok((
-            MiningResult {
-                patterns: sink.patterns,
-                stats: sink.stats,
-                min_support_count: min_support,
-                database_size: db.len(),
-            },
-            termination,
-        ))
+        Ok((sink.result, termination))
     }
 }
 
 struct ClassSink<'a> {
-    rel: &'a crate::relabel::Relabeled,
-    db_len: usize,
-    min_support: usize,
+    prepared: &'a Prepared,
     config: &'a TaxogramConfig,
-    frequent: Option<&'a BitSet>,
-    patterns: Vec<Pattern>,
-    stats: MiningStats,
     governor: &'a Governor,
+    result: MiningResult,
     /// DFS code of the class rejected at admission, if the run stopped.
     rejected: Option<String>,
     /// Index-construction scratch, reused by every class of the run.
@@ -252,66 +239,157 @@ impl PatternSink for ClassSink<'_> {
         // Governance poll point: serially one occurrence index is
         // resident at a time, so the running `peak_oi_bytes` maximum is
         // this engine's true memory high-water mark.
-        if !self.governor.admit_class(self.stats.peak_oi_bytes) {
+        if !self.governor.admit_class(self.result.stats.peak_oi_bytes) {
             self.rejected = Some(class.code.to_string());
             return Grow::Stop;
         }
-        self.stats.classes += 1;
-        self.stats.occurrences += class.embeddings.len();
-        let t_oi = std::time::Instant::now();
-        let oi = OccurrenceIndex::build_with_scratch(
+        let out = enumerate_class(
+            class.graph,
             class.embeddings,
-            &self.rel.originals,
-            class.graph.labels(),
-            &self.rel.taxonomy,
-            OiOptions {
-                frequent: self.frequent,
-                contract_equal_sets: self.config.enhancements.contract_equal_sets,
-                predescend_roots: self.config.enhancements.predescend_roots,
-            },
+            self.prepared,
+            self.config,
+            None,
+            &mut self.enum_scratch,
             &mut self.oi_scratch,
         );
-        self.stats.oi_build_ms += t_oi.elapsed().as_secs_f64() * 1000.0;
-        self.stats.oi_updates += oi.updates;
-        self.stats.peak_oi_bytes = self.stats.peak_oi_bytes.max(oi.heap_bytes());
-        let db_len = self.db_len;
-        let taxonomy = &self.rel.taxonomy;
-        let skeleton = class.graph;
-        let t_enum = std::time::Instant::now();
-        let (patterns, stats) = {
-            let mut emitted: Vec<Pattern> = Vec::new();
-            let s = crate::enumerate::enumerate_class_scratch(
-                skeleton,
-                &oi,
-                taxonomy,
-                self.min_support,
-                db_len,
-                &self.config.enhancements,
-                self.config.keep_overgeneralized,
-                &mut self.enum_scratch,
-                |p| {
-                    let mut g = skeleton.clone();
-                    for (i, &l) in p.labels.iter().enumerate() {
-                        g.set_label(i, l);
-                    }
-                    emitted.push(Pattern {
-                        graph: g,
-                        support_count: p.support,
-                        support: p.support as f64 / db_len as f64,
-                    });
-                },
-            );
-            (emitted, s)
-        };
-        self.stats.enumerate_ms += t_enum.elapsed().as_secs_f64() * 1000.0;
-        self.stats.enumeration.vectors_visited += stats.vectors_visited;
-        self.stats.enumeration.intersections += stats.intersections;
-        self.stats.enumeration.emitted += stats.emitted;
-        self.stats.enumeration.overgeneralized += stats.overgeneralized;
-        self.governor.add_patterns(patterns.len());
-        self.patterns.extend(patterns);
+        self.governor.add_patterns(out.patterns.len());
+        self.result.add_class(out);
         Grow::Continue
     }
+}
+
+/// The Step 0/1 prologue every in-memory engine starts from.
+pub(crate) enum Prologue {
+    /// The run is already over (empty database).
+    Done(MiningResult),
+    Ready(Prepared),
+}
+
+/// Everything Step 2 and Step 3 need, computed once per run.
+pub(crate) struct Prepared {
+    pub rel: Relabeled,
+    pub frequent_mask: Option<BitSet>,
+    pub min_support: usize,
+    pub db_len: usize,
+}
+
+/// Validates the threshold and returns the absolute support floor
+/// `⌈θ·|D|⌉` (min 1).
+pub(crate) fn support_floor(
+    config: &TaxogramConfig,
+    db: &GraphDatabase,
+) -> Result<usize, TaxogramError> {
+    let theta = config.threshold;
+    if !(0.0..=1.0).contains(&theta) || theta.is_nan() {
+        return Err(TaxogramError::InvalidThreshold { theta });
+    }
+    Ok(db.min_support_count(theta))
+}
+
+/// Enhancement (b): the concepts whose generalized frequency reaches the
+/// support floor.
+pub(crate) fn frequent_mask(freqs: &[usize], concepts: usize, min_support: usize) -> BitSet {
+    let frequent = freqs.iter().enumerate().filter(|&(_, &f)| f >= min_support);
+    BitSet::from_iter_with_universe(concepts, frequent.map(|(i, _)| i))
+}
+
+/// Threshold check, empty-database short-circuit, Step 1 relabeling and
+/// the generalized-frequent mask.
+pub(crate) fn prepare(
+    config: &TaxogramConfig,
+    db: &GraphDatabase,
+    taxonomy: &Taxonomy,
+) -> Result<Prologue, TaxogramError> {
+    let min_support = support_floor(config, db)?;
+    if db.is_empty() {
+        return Ok(Prologue::Done(MiningResult::empty(min_support, 0)));
+    }
+    let rel = relabel(db, taxonomy)?;
+    let frequent_mask = config.enhancements.prune_infrequent_labels.then(|| {
+        let freqs = rel.taxonomy.generalized_label_frequencies(db);
+        frequent_mask(&freqs, rel.taxonomy.concept_count(), min_support)
+    });
+    Ok(Prologue::Ready(Prepared {
+        rel,
+        frequent_mask,
+        min_support,
+        db_len: db.len(),
+    }))
+}
+
+/// One class's output, folded into the run's result in class order by
+/// [`MiningResult::add_class`].
+#[derive(Default)]
+pub(crate) struct ClassOutput {
+    pub patterns: Vec<Pattern>,
+    pub stats: MiningStats,
+}
+
+/// Builds one class's occurrence index and enumerates its
+/// specializations, reusing the caller's scratch arenas. When `oi_gauge`
+/// is given, the index's heap bytes are charged to it for the duration
+/// of the enumeration (true concurrent-residency accounting).
+pub(crate) fn enumerate_class(
+    skeleton: &LabeledGraph,
+    embeddings: &[Embedding],
+    prepared: &Prepared,
+    config: &TaxogramConfig,
+    oi_gauge: Option<&MemoryGauge>,
+    enum_scratch: &mut EnumScratch,
+    oi_scratch: &mut OiScratch,
+) -> ClassOutput {
+    let mut out = ClassOutput::default();
+    out.stats.occurrences = embeddings.len();
+    let t_oi = std::time::Instant::now();
+    let oi = OccurrenceIndex::build_with_scratch(
+        embeddings,
+        &prepared.rel.originals,
+        skeleton.labels(),
+        &prepared.rel.taxonomy,
+        OiOptions {
+            frequent: prepared.frequent_mask.as_ref(),
+            contract_equal_sets: config.enhancements.contract_equal_sets,
+            predescend_roots: config.enhancements.predescend_roots,
+        },
+        oi_scratch,
+    );
+    out.stats.oi_build_ms = t_oi.elapsed().as_secs_f64() * 1000.0;
+    out.stats.oi_updates = oi.updates;
+    let oi_bytes = oi.heap_bytes();
+    out.stats.peak_oi_bytes = oi_bytes;
+    if let Some(g) = oi_gauge {
+        g.add(oi_bytes);
+    }
+    let db_len = prepared.db_len;
+    let t_enum = std::time::Instant::now();
+    let stats = crate::enumerate::enumerate_class_scratch(
+        skeleton,
+        &oi,
+        &prepared.rel.taxonomy,
+        prepared.min_support,
+        db_len,
+        &config.enhancements,
+        config.keep_overgeneralized,
+        enum_scratch,
+        |p| {
+            let mut g = skeleton.clone();
+            for (i, &l) in p.labels.iter().enumerate() {
+                g.set_label(i, l);
+            }
+            out.patterns.push(Pattern {
+                graph: g,
+                support_count: p.support,
+                support: p.support as f64 / db_len as f64,
+            });
+        },
+    );
+    out.stats.enumerate_ms = t_enum.elapsed().as_secs_f64() * 1000.0;
+    out.stats.enumeration = stats;
+    drop(oi);
+    if let Some(g) = oi_gauge {
+        g.sub(oi_bytes);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -8,9 +8,12 @@
 //! [`mine_pipelined`] has no such barrier. The gSpan producer pushes each
 //! completed pattern class — skeleton plus embeddings, **moved, not
 //! cloned** via [`tsg_gspan::PatternSink::complete`] — into a bounded
-//! channel the moment its DFS-code subtree closes. A worker pool builds
-//! occurrence indices and enumerates specializations *while mining is
-//! still running*. Three properties make this safe and fast:
+//! channel the moment its DFS-code subtree closes. A worker pool runs
+//! the per-class path of [`crate::Taxogram::mine`] (index build, then
+//! Step 3) *while mining is still running*. The thread count
+//! is taken as given: `threads ≤ 1` is the serial miner, any other count
+//! runs the channel with exactly that many threads, even past the cores
+//! there are. Three properties make this safe and fast:
 //!
 //! - **Determinism.** `complete` fires in report (pre-order DFS) order,
 //!   so the sink stamps each class with a sequence number equal to its
@@ -36,14 +39,12 @@ use crate::enumerate::EnumScratch;
 use crate::error::TaxogramError;
 use crate::gauge::MemoryGauge;
 use crate::govern::{GovernOptions, Governor, MiningOutcome, Termination};
-use crate::miner::{MiningResult, MiningStats, Pattern};
-use crate::oi::{OccurrenceIndex, OiOptions, OiScratch};
-use crate::relabel::{relabel, Relabeled};
-use tsg_bitset::BitSet;
-use tsg_graph::{GraphDatabase, LabeledGraph};
+use crate::miner::{enumerate_class, prepare, ClassOutput, MiningResult, Prepared, Prologue};
+use crate::oi::OiScratch;
 use crate::sync::thread;
 use crate::sync::Mutex;
 use std::panic::AssertUnwindSafe;
+use tsg_graph::{GraphDatabase, LabeledGraph};
 use tsg_gspan::{
     ClassHandoff, Embedding, GSpan, GSpanConfig, GSpanStats, Grow, MinedPattern, PatternSink,
 };
@@ -60,13 +61,6 @@ pub struct PipelineOptions {
     /// `2 × threads`. Smaller values bound resident embedding memory
     /// tighter at the cost of more producer stalls.
     pub channel_capacity: usize,
-    /// Clamp `threads` to the machine's available parallelism (default).
-    /// When the clamp leaves no dedicated worker (a single-core host),
-    /// classes are streamed *inline* on the producer thread — same
-    /// move-handoff, scratch reuse, and memory accounting, zero
-    /// synchronization. Disable to force the channel machinery at any
-    /// thread count (used by the determinism tests).
-    pub clamp_to_cores: bool,
 }
 
 impl Default for PipelineOptions {
@@ -74,7 +68,6 @@ impl Default for PipelineOptions {
         PipelineOptions {
             threads: 2,
             channel_capacity: 0,
-            clamp_to_cores: true,
         }
     }
 }
@@ -198,26 +191,15 @@ pub fn mine_pipelined_faulted(
     govern: Option<&GovernOptions>,
     faults: PipelineFaults,
 ) -> Result<MiningOutcome, TaxogramError> {
-    let governor = govern.map_or_else(Governor::disabled, Governor::new);
+    let governor = &govern.map_or_else(Governor::disabled, Governor::new);
     if options.threads <= 1 {
         let (result, termination) =
-            crate::Taxogram::new(*config).mine_with(db, taxonomy, &governor)?;
+            crate::Taxogram::new(*config).mine_with(db, taxonomy, governor)?;
         return Ok(MiningOutcome {
             result,
             termination,
         });
     }
-    mine_pipelined_impl(config, db, taxonomy, options, faults, &governor)
-}
-
-fn mine_pipelined_impl(
-    config: &TaxogramConfig,
-    db: &GraphDatabase,
-    taxonomy: &Taxonomy,
-    options: PipelineOptions,
-    faults: PipelineFaults,
-    governor: &Governor,
-) -> Result<MiningOutcome, TaxogramError> {
     let threads = options.threads;
     let prepared = match prepare(config, db, taxonomy)? {
         Prologue::Done(result) => {
@@ -228,20 +210,6 @@ fn mine_pipelined_impl(
         }
         Prologue::Ready(p) => p,
     };
-    let effective = if options.clamp_to_cores {
-        thread::available_parallelism()
-            .map(|n| threads.min(n.get()))
-            .unwrap_or(threads)
-    } else {
-        threads
-    };
-    if effective <= 1 {
-        // No dedicated worker to be had: stream inline. Still the
-        // pipelined engine — classes hand off by move and scratch arenas
-        // persist — just with the channel optimized away.
-        return Ok(mine_inline(config, &prepared, governor));
-    }
-    let threads = effective;
     let capacity = if options.channel_capacity == 0 {
         2 * threads
     } else {
@@ -254,8 +222,19 @@ fn mine_pipelined_impl(
     // First panic from any enumeration thread; a set slot turns the whole
     // run into `Err(WorkerPanicked)` after every thread has unwound.
     let panic_slot: Mutex<Option<String>> = Mutex::new(None);
+    let producer = Stage {
+        prepared: &prepared,
+        config,
+        emb_gauge: &emb_gauge,
+        oi_gauge: &oi_gauge,
+        governor,
+        panic_slot: &panic_slot,
+        faults,
+        enum_scratch: EnumScratch::new(),
+        oi_scratch: OiScratch::new(),
+        outputs: Vec::new(),
+    };
 
-    let mut classes = 0usize;
     let mut steals = 0usize;
     let mut gspan = GSpanStats::default();
     let mut rejected: Option<String> = None;
@@ -264,61 +243,20 @@ fn mine_pipelined_impl(
         let handles: Vec<_> = (0..threads - 1)
             .map(|_| {
                 let channel = &channel;
-                let emb_gauge = &emb_gauge;
-                let oi_gauge = &oi_gauge;
-                let prepared = &prepared;
-                let panic_slot = &panic_slot;
+                let mut stage = producer.fork();
                 scope.spawn(move || {
-                    let mut local: Vec<(usize, ClassOutput)> = Vec::new();
-                    let mut enum_scratch = EnumScratch::new();
-                    let mut oi_scratch = OiScratch::new();
                     let mut received = 0usize;
                     while let Some(item) = channel.recv() {
                         received += 1;
-                        let (seq, emb_bytes) = (item.seq, item.emb_bytes);
-                        // Catch panics per item: a dead worker must not
-                        // leave the producer blocked or the process
-                        // aborted. The item unwinding mid-enumeration is
-                        // lost, which is exactly why a recorded panic
-                        // fails the whole run below.
-                        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            maybe_injected_panic(&faults, item.seq);
-                            let out = enumerate_class(
-                                &item.skeleton,
-                                &item.embeddings,
-                                prepared,
-                                config,
-                                Some(oi_gauge),
-                                &mut enum_scratch,
-                                &mut oi_scratch,
-                            );
-                            // Embeddings die here (with the item).
-                            drop(item.embeddings);
-                            out
-                        }));
-                        // Release the reservation on *both* paths: an item
-                        // destroyed by an unwinding worker is just as dead
-                        // as an enumerated one, and leaking it would leave
-                        // the gauge's running total permanently inflated.
-                        emb_gauge.sub(emb_bytes);
-                        match caught {
-                            Ok(out) => {
-                                governor.add_patterns(out.patterns.len());
-                                local.push((seq, out));
-                            }
-                            Err(payload) => {
-                                record_panic(panic_slot, panic_message(payload.as_ref()));
-                                return local;
-                            }
-                        }
-                        // Simulated receiver drop: stop pulling from the
-                        // channel; the producer's post-close drain picks
-                        // up whatever this worker abandons.
-                        if faults.drop_receiver_after == Some(received) {
-                            return local;
+                        // A worker that panicked stops. A simulated
+                        // receiver drop stops pulling from the channel;
+                        // the producer's post-close drain picks up
+                        // whatever this worker abandons.
+                        if !stage.process(item) || faults.drop_receiver_after == Some(received) {
+                            break;
                         }
                     }
-                    local
+                    stage.outputs
                 })
             })
             .collect();
@@ -328,21 +266,12 @@ fn mine_pipelined_impl(
         // steals an item and enumerates it itself rather than sleeping.
         let mut sink = PipeSink {
             channel: &channel,
-            emb_gauge: &emb_gauge,
-            oi_gauge: &oi_gauge,
-            prepared: &prepared,
-            config,
-            faults,
-            governor,
+            stage: producer,
             rejected: None,
-            enum_scratch: EnumScratch::new(),
-            oi_scratch: OiScratch::new(),
-            outputs: Vec::new(),
             next_seq: 0,
             steals: 0,
         };
-        // The producer can panic too — the injected class may land on it
-        // via a backpressure steal. Catch so the channel still closes:
+        // gSpan itself can panic too. Catch so the channel still closes:
         // an unclosed channel would park every worker on `recv` forever.
         let mined = std::panic::catch_unwind(AssertUnwindSafe(|| {
             GSpan::new(
@@ -354,7 +283,6 @@ fn mine_pipelined_impl(
             )
             .mine(&mut sink)
         }));
-        classes = sink.next_seq;
         steals = sink.steals;
         rejected = sink.rejected.take();
         channel.close();
@@ -366,17 +294,9 @@ fn mine_pipelined_impl(
         // This drain is also what rescues classes abandoned by a dropped
         // receiver, so no item is ever lost to a worker that quit early.
         while let Some(item) = channel.try_recv() {
-            let emb_bytes = item.emb_bytes;
-            if let Err(payload) =
-                std::panic::catch_unwind(AssertUnwindSafe(|| sink.process(item)))
-            {
-                // `process` panicked before its own release; the item died
-                // in the unwind, so release its reservation here.
-                emb_gauge.sub(emb_bytes);
-                record_panic(&panic_slot, panic_message(payload.as_ref()));
-            }
+            sink.stage.process(item);
         }
-        outputs = sink.outputs;
+        outputs = sink.stage.outputs;
 
         for h in handles {
             // A panic that somehow escaped the per-item catch (e.g. from
@@ -392,8 +312,8 @@ fn mine_pipelined_impl(
     if let Some(message) = recover(panic_slot.lock()).take() {
         return Err(TaxogramError::WorkerPanicked { message });
     }
-    // Gauge balance: every enqueued reservation was released — by
-    // `process`, by a displaced-item steal, or by the post-close drain —
+    // Gauge balance: every enqueued reservation was released — by a
+    // worker, by a displaced-item steal, or by the post-close drain —
     // even when the run stopped early. (The governance tests' partial
     // runs exercise this; a leak here was the original abandoned-class
     // accounting bug.)
@@ -405,109 +325,23 @@ fn mine_pipelined_impl(
     // is the only gate), so the output is the exact admitted prefix and
     // nothing needs cutting.
     outputs.sort_unstable_by_key(|(seq, _)| *seq);
-    let termination = governor.finish(
-        classes,
-        usize::from(rejected.is_some()),
-        rejected.into_iter().collect(),
-    );
-    let mut result = merge_outputs(outputs.into_iter().map(|(_, out)| out), classes, &prepared);
+    let mut result = MiningResult::empty(prepared.min_support, prepared.db_len);
+    for (_, out) in outputs {
+        result.add_class(out);
+    }
     result.stats.peak_oi_bytes = oi_gauge.peak();
     result.stats.peak_embedding_bytes = emb_gauge.peak();
     result.stats.steals = steals;
     result.stats.gspan = gspan;
+    let termination = governor.finish(
+        result.stats.classes,
+        usize::from(rejected.is_some()),
+        rejected.into_iter().collect(),
+    );
     Ok(MiningOutcome {
         result,
         termination,
     })
-}
-
-/// Single-thread streaming: each class is enumerated the moment gSpan
-/// completes it, on the mining thread, with persistent scratch arenas.
-/// Used when the core clamp leaves no dedicated worker; also the
-/// fairest possible single-core baseline for the channel pipeline.
-fn mine_inline(
-    config: &TaxogramConfig,
-    prepared: &Prepared,
-    governor: &Governor,
-) -> MiningOutcome {
-    struct InlineSink<'a> {
-        prepared: &'a Prepared,
-        config: &'a TaxogramConfig,
-        emb_gauge: &'a MemoryGauge,
-        oi_gauge: &'a MemoryGauge,
-        governor: &'a Governor,
-        rejected: Option<String>,
-        enum_scratch: EnumScratch,
-        oi_scratch: OiScratch,
-        outputs: Vec<ClassOutput>,
-    }
-    impl PatternSink for InlineSink<'_> {
-        fn report(&mut self, class: &MinedPattern<'_>) -> Grow {
-            // Governance poll point (same contract as the channel path's
-            // producer sink): admission in serial class order.
-            if !self
-                .governor
-                .admit_class(self.emb_gauge.peak() + self.oi_gauge.peak())
-            {
-                self.rejected = Some(class.code.to_string());
-                return Grow::Stop;
-            }
-            Grow::Continue
-        }
-        fn complete(&mut self, class: ClassHandoff) {
-            let emb_bytes = embedding_heap_bytes(&class.embeddings);
-            self.emb_gauge.add(emb_bytes);
-            let out = enumerate_class(
-                &class.graph,
-                &class.embeddings,
-                self.prepared,
-                self.config,
-                Some(self.oi_gauge),
-                &mut self.enum_scratch,
-                &mut self.oi_scratch,
-            );
-            drop(class);
-            self.emb_gauge.sub(emb_bytes);
-            self.governor.add_patterns(out.patterns.len());
-            self.outputs.push(out);
-        }
-    }
-    let emb_gauge = MemoryGauge::new();
-    let oi_gauge = MemoryGauge::new();
-    let mut sink = InlineSink {
-        prepared,
-        config,
-        emb_gauge: &emb_gauge,
-        oi_gauge: &oi_gauge,
-        governor,
-        rejected: None,
-        enum_scratch: EnumScratch::new(),
-        oi_scratch: OiScratch::new(),
-        outputs: Vec::new(),
-    };
-    let gspan = GSpan::new(
-        &prepared.rel.dmg,
-        GSpanConfig {
-            min_support: prepared.min_support,
-            max_edges: config.max_edges,
-        },
-    )
-    .mine(&mut sink);
-    let classes = sink.outputs.len();
-    let rejected = sink.rejected;
-    let termination = governor.finish(
-        classes,
-        usize::from(rejected.is_some()),
-        rejected.into_iter().collect(),
-    );
-    let mut result = merge_outputs(sink.outputs.into_iter(), classes, prepared);
-    result.stats.peak_oi_bytes = oi_gauge.peak();
-    result.stats.peak_embedding_bytes = emb_gauge.peak();
-    result.stats.gspan = gspan;
-    MiningOutcome {
-        result,
-        termination,
-    }
 }
 
 /// A pattern class in flight from the gSpan producer to a worker.
@@ -520,44 +354,85 @@ struct WorkItem {
     emb_bytes: usize,
 }
 
-struct PipeSink<'a> {
-    channel: &'a Bounded<WorkItem>,
-    emb_gauge: &'a MemoryGauge,
-    oi_gauge: &'a MemoryGauge,
+/// Step 3 on one thread — a dedicated worker, or the producer for the
+/// classes it steals and drains — with that thread's scratch arenas and
+/// finished classes.
+struct Stage<'a> {
     prepared: &'a Prepared,
     config: &'a TaxogramConfig,
-    faults: PipelineFaults,
+    emb_gauge: &'a MemoryGauge,
+    oi_gauge: &'a MemoryGauge,
     governor: &'a Governor,
-    /// DFS code of the class rejected at admission, if the run stopped.
-    rejected: Option<String>,
-    /// Scratch arenas for classes the producer enumerates itself when
-    /// the channel is full (work stealing instead of blocking).
+    panic_slot: &'a Mutex<Option<String>>,
+    faults: PipelineFaults,
     enum_scratch: EnumScratch,
     oi_scratch: OiScratch,
     outputs: Vec<(usize, ClassOutput)>,
+}
+
+impl<'a> Stage<'a> {
+    /// A stage for another thread: same run, fresh scratch and outputs.
+    fn fork(&self) -> Stage<'a> {
+        Stage {
+            enum_scratch: EnumScratch::new(),
+            oi_scratch: OiScratch::new(),
+            outputs: Vec::new(),
+            ..*self
+        }
+    }
+
+    /// Enumerates `item` and releases its embedding reservation. Returns
+    /// false if the enumeration panicked: the panic is caught — a dead
+    /// worker must not leave the producer blocked or the process aborted
+    /// — and recorded, and since the class it was enumerating is lost,
+    /// the recorded panic fails the whole run.
+    fn process(&mut self, item: WorkItem) -> bool {
+        let (seq, emb_bytes) = (item.seq, item.emb_bytes);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            maybe_injected_panic(&self.faults, seq);
+            let out = enumerate_class(
+                &item.skeleton,
+                &item.embeddings,
+                self.prepared,
+                self.config,
+                Some(self.oi_gauge),
+                &mut self.enum_scratch,
+                &mut self.oi_scratch,
+            );
+            // Embeddings die here (with the item).
+            drop(item.embeddings);
+            out
+        }));
+        // Release the reservation on *both* paths: an item destroyed by
+        // an unwinding enumeration is just as dead as an enumerated one,
+        // and leaking it would leave the gauge's running total
+        // permanently inflated.
+        self.emb_gauge.sub(emb_bytes);
+        match caught {
+            Ok(out) => {
+                self.governor.add_patterns(out.patterns.len());
+                self.outputs.push((seq, out));
+                true
+            }
+            Err(payload) => {
+                record_panic(self.panic_slot, panic_message(payload.as_ref()));
+                false
+            }
+        }
+    }
+}
+
+struct PipeSink<'a> {
+    channel: &'a Bounded<WorkItem>,
+    /// Step 3 for classes the producer enumerates itself: stolen when
+    /// the channel is full, and drained after mining.
+    stage: Stage<'a>,
+    /// DFS code of the class rejected at admission, if the run stopped.
+    rejected: Option<String>,
     next_seq: usize,
     /// Queued classes the producer took back and enumerated itself
     /// because the channel was full.
     steals: usize,
-}
-
-impl PipeSink<'_> {
-    fn process(&mut self, item: WorkItem) {
-        maybe_injected_panic(&self.faults, item.seq);
-        let out = enumerate_class(
-            &item.skeleton,
-            &item.embeddings,
-            self.prepared,
-            self.config,
-            Some(self.oi_gauge),
-            &mut self.enum_scratch,
-            &mut self.oi_scratch,
-        );
-        drop(item.embeddings);
-        self.emb_gauge.sub(item.emb_bytes);
-        self.governor.add_patterns(out.patterns.len());
-        self.outputs.push((item.seq, out));
-    }
 }
 
 impl PatternSink for PipeSink<'_> {
@@ -566,9 +441,10 @@ impl PatternSink for PipeSink<'_> {
         // order on the producer, so admissions form an exact serial
         // prefix. The tracked high-water mark is in-flight embeddings
         // plus resident occurrence indices.
-        if !self
+        let stage = &self.stage;
+        if !stage
             .governor
-            .admit_class(self.emb_gauge.peak() + self.oi_gauge.peak())
+            .admit_class(stage.emb_gauge.peak() + stage.oi_gauge.peak())
         {
             self.rejected = Some(class.code.to_string());
             return Grow::Stop;
@@ -579,10 +455,10 @@ impl PatternSink for PipeSink<'_> {
     fn complete(&mut self, class: ClassHandoff) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let emb_bytes = embedding_heap_bytes(&class.embeddings);
+        let emb_bytes = tsg_gspan::embedding_list_bytes(&class.embeddings);
         // Account before send: the bytes are resident from this moment
         // until a worker (or the producer itself) finishes with them.
-        self.emb_gauge.add(emb_bytes);
+        self.stage.emb_gauge.add(emb_bytes);
         let item = WorkItem {
             seq,
             skeleton: class.graph,
@@ -599,176 +475,8 @@ impl PatternSink for PipeSink<'_> {
         // workers race it for queue slots.
         if let Some(stolen) = self.channel.send_or_swap(item) {
             self.steals += 1;
-            self.process(stolen);
+            self.stage.process(stolen);
         }
-    }
-}
-
-/// Approximate heap footprint of an embedding list (the miner crate owns
-/// the canonical accounting; re-exported here for the engines).
-pub(crate) fn embedding_heap_bytes(embeddings: &[Embedding]) -> usize {
-    tsg_gspan::embedding_list_bytes(embeddings)
-}
-
-/// Shared Step 0/1 prologue: threshold validation, support floor, empty
-/// database short-circuit, relabeling, and the generalized-frequent mask.
-pub(crate) enum Prologue {
-    /// The run is already over (empty database).
-    Done(MiningResult),
-    Ready(Prepared),
-}
-
-/// Everything Step 3 workers need, computed once per run.
-pub(crate) struct Prepared {
-    pub rel: Relabeled,
-    pub frequent_mask: Option<BitSet>,
-    pub min_support: usize,
-    pub db_len: usize,
-}
-
-pub(crate) fn prepare(
-    config: &TaxogramConfig,
-    db: &GraphDatabase,
-    taxonomy: &Taxonomy,
-) -> Result<Prologue, TaxogramError> {
-    let theta = config.threshold;
-    if !(0.0..=1.0).contains(&theta) || theta.is_nan() {
-        return Err(TaxogramError::InvalidThreshold { theta });
-    }
-    let min_support = db.min_support_count(theta);
-    if db.is_empty() {
-        return Ok(Prologue::Done(MiningResult {
-            patterns: Vec::new(),
-            stats: MiningStats::default(),
-            min_support_count: min_support,
-            database_size: 0,
-        }));
-    }
-    let rel = relabel(db, taxonomy)?;
-    let frequent_mask = if config.enhancements.prune_infrequent_labels {
-        let freqs = rel.taxonomy.generalized_label_frequencies(db);
-        let mut mask = BitSet::new(rel.taxonomy.concept_count());
-        for (i, &f) in freqs.iter().enumerate() {
-            if f >= min_support {
-                mask.insert(i);
-            }
-        }
-        Some(mask)
-    } else {
-        None
-    };
-    Ok(Prologue::Ready(Prepared {
-        rel,
-        frequent_mask,
-        min_support,
-        db_len: db.len(),
-    }))
-}
-
-/// Per-class enumeration output, merged in class order at the end.
-#[derive(Default)]
-pub(crate) struct ClassOutput {
-    pub patterns: Vec<Pattern>,
-    pub stats: MiningStats,
-}
-
-/// Builds one class's occurrence index and enumerates its
-/// specializations, reusing the caller's scratch arenas. When `oi_gauge`
-/// is given, the index's heap bytes are charged to it for the duration
-/// of the enumeration (true concurrent-residency accounting).
-pub(crate) fn enumerate_class(
-    skeleton: &LabeledGraph,
-    embeddings: &[Embedding],
-    prepared: &Prepared,
-    config: &TaxogramConfig,
-    oi_gauge: Option<&MemoryGauge>,
-    enum_scratch: &mut EnumScratch,
-    oi_scratch: &mut OiScratch,
-) -> ClassOutput {
-    let mut out = ClassOutput::default();
-    out.stats.occurrences = embeddings.len();
-    let t_oi = std::time::Instant::now();
-    let oi = OccurrenceIndex::build_with_scratch(
-        embeddings,
-        &prepared.rel.originals,
-        skeleton.labels(),
-        &prepared.rel.taxonomy,
-        OiOptions {
-            frequent: prepared.frequent_mask.as_ref(),
-            contract_equal_sets: config.enhancements.contract_equal_sets,
-            predescend_roots: config.enhancements.predescend_roots,
-        },
-        oi_scratch,
-    );
-    out.stats.oi_build_ms = t_oi.elapsed().as_secs_f64() * 1000.0;
-    out.stats.oi_updates = oi.updates;
-    let oi_bytes = oi.heap_bytes();
-    out.stats.peak_oi_bytes = oi_bytes;
-    if let Some(g) = oi_gauge {
-        g.add(oi_bytes);
-    }
-    let db_len = prepared.db_len;
-    let t_enum = std::time::Instant::now();
-    let stats = crate::enumerate::enumerate_class_scratch(
-        skeleton,
-        &oi,
-        &prepared.rel.taxonomy,
-        prepared.min_support,
-        db_len,
-        &config.enhancements,
-        config.keep_overgeneralized,
-        enum_scratch,
-        |p| {
-            let mut g = skeleton.clone();
-            for (i, &l) in p.labels.iter().enumerate() {
-                g.set_label(i, l);
-            }
-            out.patterns.push(Pattern {
-                graph: g,
-                support_count: p.support,
-                support: p.support as f64 / db_len as f64,
-            });
-        },
-    );
-    out.stats.enumerate_ms = t_enum.elapsed().as_secs_f64() * 1000.0;
-    out.stats.enumeration = stats;
-    drop(oi);
-    if let Some(g) = oi_gauge {
-        g.sub(oi_bytes);
-    }
-    out
-}
-
-/// Sums per-class outputs (already in class order) into a result.
-/// `peak_oi_bytes`/`peak_embedding_bytes` are left as max-over-classes /
-/// zero; engines with gauge-based accounting overwrite them.
-pub(crate) fn merge_outputs(
-    outputs: impl Iterator<Item = ClassOutput>,
-    classes: usize,
-    prepared: &Prepared,
-) -> MiningResult {
-    let mut patterns = Vec::new();
-    let mut stats = MiningStats {
-        classes,
-        ..MiningStats::default()
-    };
-    for out in outputs {
-        patterns.extend(out.patterns);
-        stats.oi_updates += out.stats.oi_updates;
-        stats.occurrences += out.stats.occurrences;
-        stats.peak_oi_bytes = stats.peak_oi_bytes.max(out.stats.peak_oi_bytes);
-        stats.oi_build_ms += out.stats.oi_build_ms;
-        stats.enumerate_ms += out.stats.enumerate_ms;
-        stats.enumeration.vectors_visited += out.stats.enumeration.vectors_visited;
-        stats.enumeration.intersections += out.stats.enumeration.intersections;
-        stats.enumeration.emitted += out.stats.enumeration.emitted;
-        stats.enumeration.overgeneralized += out.stats.enumeration.overgeneralized;
-    }
-    MiningResult {
-        patterns,
-        stats,
-        min_support_count: prepared.min_support,
-        database_size: prepared.db_len,
     }
 }
 
@@ -783,12 +491,9 @@ mod tests {
         let db = samples::figure_1_4_database(&c);
         let cfg = TaxogramConfig::with_threshold(1.0 / 3.0);
         let serial = crate::Taxogram::new(cfg).mine(&db, &t).unwrap();
-        // clamp_to_cores off: always exercise the channel machinery,
-        // even when the test host has a single core.
         let options = PipelineOptions {
             threads,
             channel_capacity: capacity,
-            clamp_to_cores: false,
         };
         let piped = mine_pipelined_faulted(&cfg, &db, &t, options, None, PipelineFaults::default())
             .unwrap()
@@ -842,7 +547,7 @@ mod tests {
     #[test]
     fn one_thread_falls_back_to_serial() {
         let (serial, piped) = serial_and_pipelined(1, 0);
-        assert_eq!(serial.patterns.len(), piped.patterns.len());
+        assert_identical(&serial, &piped);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! 4. **Pass 2b — global Step 3**: each globally frequent class, taken
 //!    in canonical (= serial) order in batches of
 //!    [`ShardOptions::class_batch`], has its embeddings re-enumerated
-//!    over the shard stream and is then enumerated by the ordinary
-//!    class pipeline ([`crate::pipeline`]) against the global database
+//!    over the shard stream and is then enumerated by the class path of
+//!    [`crate::Taxogram::mine`] against the global database
 //!    size — so specialization supports, the minimality filter, and the
 //!    emission order are *byte-identical* to the single-pass serial
 //!    miner. (This sidesteps the locally-over-generalized corner of
@@ -61,17 +61,14 @@ use crate::enumerate::EnumScratch;
 use crate::error::TaxogramError;
 use crate::gauge::MemoryGauge;
 use crate::govern::{GovernOptions, Governor, Termination, FRONTIER_CAP};
-use crate::miner::{MiningResult, MiningStats};
+use crate::miner::{enumerate_class, frequent_mask, support_floor, MiningResult, Prepared};
 use crate::oi::OiScratch;
-use crate::pipeline::{
-    embedding_heap_bytes, enumerate_class, merge_outputs, panic_message, ClassOutput, Prepared,
-};
+use crate::pipeline::panic_message;
 use crate::relabel::Relabeled;
 use crate::sync::{thread, Arc, AtomicBool, AtomicUsize, Mutex, Ordering};
 use spill::{read_shard, spill, SpillSet};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use tsg_bitset::BitSet;
 use tsg_gspan::DfsCode;
 use tsg_graph::{GraphDatabase, LabeledGraph};
 use tsg_taxonomy::Taxonomy;
@@ -374,12 +371,7 @@ fn early_stop<'a>(
 ) -> ShardedOutcome {
     let frontier: Vec<String> = codes.take(FRONTIER_CAP).map(|c| c.to_string()).collect();
     ShardedOutcome {
-        result: MiningResult {
-            patterns: Vec::new(),
-            stats: MiningStats::default(),
-            min_support_count: min_support,
-            database_size: db_len,
-        },
+        result: MiningResult::empty(min_support, db_len),
         termination: governor.finish(0, known.max(1), frontier),
         shard_stats,
     }
@@ -393,20 +385,11 @@ fn mine_impl(
     governor: &Governor,
     faults: &ShardFaults,
 ) -> Result<ShardedOutcome, TaxogramError> {
-    let theta = config.threshold;
-    if !(0.0..=1.0).contains(&theta) || theta.is_nan() {
-        return Err(TaxogramError::InvalidThreshold { theta });
-    }
-    let min_support = db.min_support_count(theta);
+    let min_support = support_floor(config, db)?;
     let db_len = db.len();
     if db.is_empty() {
         return Ok(ShardedOutcome {
-            result: MiningResult {
-                patterns: Vec::new(),
-                stats: MiningStats::default(),
-                min_support_count: min_support,
-                database_size: 0,
-            },
+            result: MiningResult::empty(min_support, 0),
             termination: Termination::completed(0),
             shard_stats: ShardStats::default(),
         });
@@ -508,24 +491,16 @@ fn mine_impl(
     // Step 3 scaffold on *global* data: the unified taxonomy, the summed
     // frequent-label mask, and an originals table filled lazily per batch
     // with the rows the occurrence indices actually touch.
-    let frequent_mask = if config.enhancements.prune_infrequent_labels {
-        let mut mask = BitSet::new(unified.concept_count());
-        for (i, &f) in freq_sums.iter().enumerate() {
-            if f >= min_support {
-                mask.insert(i);
-            }
-        }
-        Some(mask)
-    } else {
-        None
-    };
     let mut prepared = Prepared {
         rel: Relabeled {
             dmg: GraphDatabase::new(),
             originals: vec![Vec::new(); db_len],
             taxonomy: Arc::clone(&unified),
         },
-        frequent_mask,
+        frequent_mask: config
+            .enhancements
+            .prune_infrequent_labels
+            .then(|| frequent_mask(&freq_sums, unified.concept_count(), min_support)),
         min_support,
         db_len,
     };
@@ -535,8 +510,7 @@ fn mine_impl(
     let oi_gauge = MemoryGauge::new();
     let mut enum_scratch = EnumScratch::new();
     let mut oi_scratch = OiScratch::new();
-    let mut outputs: Vec<ClassOutput> = Vec::new();
-    let mut finished = 0usize;
+    let mut result = MiningResult::empty(min_support, db_len);
     let batch_size = options.class_batch.max(1);
     'batches: for batch in frequent.chunks(batch_size) {
         let (slots, stopped) = scan_shards(&set, threads, governor, |shard, shard_db| {
@@ -560,7 +534,7 @@ fn mine_impl(
             }
         }
         for (class, embeddings) in batch.iter().zip(per_class) {
-            let emb_bytes = embedding_heap_bytes(&embeddings);
+            let emb_bytes = tsg_gspan::embedding_list_bytes(&embeddings);
             emb_gauge.add(emb_bytes);
             // Admission in serial class order — the same gate, in the
             // same order, as the single-pass engines, so budget and
@@ -581,14 +555,14 @@ fn mine_impl(
             drop(embeddings);
             emb_gauge.sub(emb_bytes);
             governor.add_patterns(out.patterns.len());
-            outputs.push(out);
-            finished += 1;
+            result.add_class(out);
             if governor.should_stop_class_boundary() {
                 break 'batches;
             }
         }
     }
 
+    let finished = result.stats.classes;
     let abandoned = frequent.len() - finished;
     let frontier: Vec<String> = frequent[finished..] // tsg-lint: allow(index) — finished <= frequent.len() by take_while
         .iter()
@@ -596,7 +570,6 @@ fn mine_impl(
         .map(|c| c.code.to_string())
         .collect();
     let termination = governor.finish(finished, abandoned, frontier);
-    let mut result = merge_outputs(outputs.into_iter(), finished, &prepared);
     result.stats.peak_oi_bytes = oi_gauge.peak();
     result.stats.peak_embedding_bytes = emb_gauge.peak();
     Ok(ShardedOutcome {

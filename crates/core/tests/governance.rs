@@ -209,12 +209,11 @@ fn pattern_budget_binds_on_every_parallel_engine() {
     }
 }
 
-/// Pipelined options that force the channel machinery at capacity 1.
+/// Pipelined options that run the channel machinery at capacity 1.
 fn forced_channel(threads: usize) -> PipelineOptions {
     PipelineOptions {
         threads,
         channel_capacity: 1,
-        clamp_to_cores: false,
     }
 }
 

@@ -63,13 +63,11 @@ proptest! {
         let cfg = TaxogramConfig::with_threshold(theta).max_edges(3);
         let serial = Taxogram::new(cfg).mine(&db, &taxonomy).unwrap();
         for threads in [1usize, 2, 8] {
-            // clamp_to_cores off: the reorder buffer must be exercised
-            // regardless of how many cores the test host has.
             let piped = pipelined(
                 &cfg,
                 &db,
                 &taxonomy,
-                PipelineOptions { threads, channel_capacity: 0, clamp_to_cores: false },
+                PipelineOptions { threads, channel_capacity: 0 },
             );
             assert_streams_identical(&serial, &piped, &format!("pipelined t={threads}"));
         }
@@ -87,7 +85,7 @@ proptest! {
             &cfg,
             &db,
             &taxonomy,
-            PipelineOptions { threads: 4, channel_capacity: 1, clamp_to_cores: false },
+            PipelineOptions { threads: 4, channel_capacity: 1 },
         );
         assert_streams_identical(&serial, &piped, "pipelined cap=1");
     }

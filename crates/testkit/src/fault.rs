@@ -200,7 +200,6 @@ impl FaultPlan {
         PipelineOptions {
             threads: self.threads,
             channel_capacity: self.capacity,
-            clamp_to_cores: false,
         }
     }
 

@@ -10,7 +10,8 @@
 //!    exactly one member (itself), so the output must be *byte-identical*
 //!    to plain gSpan on the same database.
 //! 2. **Engine agreement** — the serial and pipelined engines must
-//!    produce byte-identical results.
+//!    produce byte-identical results and do the same work: equal
+//!    occurrence, occurrence-index update, Step 2 and Step 3 counters.
 //! 3. **θ-monotonicity** — raising the threshold can only shrink the
 //!    pattern set: `patterns(θ₂) ⊆ patterns(θ₁)` for `θ₁ ≤ θ₂`. This
 //!    survives the minimality filter because an over-generalization
@@ -33,7 +34,9 @@
 //!    ([`taxogram_core::shard`]) is byte-identical to the serial engine
 //!    at *every* shard count and thread count: the candidate superset is
 //!    complete (SON pigeonhole), supports are recounted exactly, and
-//!    Pass 2b re-enumerates each class in serial order on global data.
+//!    Pass 2b re-enumerates each class in serial order on global data,
+//!    with the serial engine's occurrence, occurrence-index update and
+//!    Step 3 counters.
 //!
 //! All relations are driven by [`run_suite`]; individual relations are
 //! public for targeted tests.
@@ -41,8 +44,8 @@
 use crate::gen::{Case, THETAS};
 use taxogram_core::reference::{compare_with_reference, reference_mine};
 use taxogram_core::{
-    mine_pipelined_faulted, mine_sharded, MiningResult, Pattern, PipelineFaults, PipelineOptions,
-    ShardOptions, Taxogram, TaxogramConfig, TaxogramError,
+    mine_pipelined_faulted, mine_sharded, MiningResult, MiningStats, Pattern, PipelineFaults,
+    PipelineOptions, ShardOptions, Taxogram, TaxogramConfig, TaxogramError,
 };
 use tsg_graph::{GraphDatabase, LabeledGraph, NodeLabel};
 use tsg_iso::{is_isomorphic, support_count, GeneralizedMatcher};
@@ -58,8 +61,7 @@ pub enum Engine {
     /// `Taxogram::mine`, the serial three-step pipeline.
     Serial,
     /// `mine_pipelined_faulted` with no faults and no governance:
-    /// streaming channel, tiny capacity, forced past the core clamp so
-    /// the channel machinery always runs.
+    /// streaming channel at three threads and a tiny capacity.
     Pipelined,
 }
 
@@ -91,7 +93,6 @@ impl Engine {
                 PipelineOptions {
                     threads: 3,
                     channel_capacity: 2,
-                    clamp_to_cores: false,
                 },
                 None,
                 PipelineFaults::default(),
@@ -157,6 +158,26 @@ pub fn assert_engines_identical(a: &MiningResult, b: &MiningResult) -> Result<()
     Ok(())
 }
 
+/// Equal work counters of two results of the same input: occurrences,
+/// occurrence-index updates and the four Step 3 counters, plus Step 2's
+/// counters when `gspan` is set (the sharded miner's Pass 1 mines shards,
+/// so it reports none).
+pub fn assert_same_work(a: &MiningResult, b: &MiningResult, gspan: bool) -> Result<(), String> {
+    let (a, b) = (&a.stats, &b.stats);
+    let counters = |s: &MiningStats| (s.occurrences, s.oi_updates, s.enumeration);
+    if counters(a) != counters(b) {
+        return Err(format!(
+            "work: (occurrences, oi_updates, enumeration) {:?} vs {:?}",
+            counters(a),
+            counters(b)
+        ));
+    }
+    if gspan && a.gspan != b.gspan {
+        return Err(format!("work: gspan {:?} vs {:?}", a.gspan, b.gspan));
+    }
+    Ok(())
+}
+
 /// Checks `sub ⊆ sup` as an (isomorphism, support)-matched multiset.
 fn assert_iso_subset(what: &str, sub: &[Pattern], sup: &[Pattern]) -> Result<(), String> {
     let mut used = vec![false; sup.len()];
@@ -217,7 +238,8 @@ pub fn flattening_matches_gspan(case: &Case, engine: Engine) -> Result<(), Strin
     Ok(())
 }
 
-/// Relation 2: every engine reproduces the serial result byte for byte.
+/// Relation 2: every engine reproduces the serial result byte for byte,
+/// with the serial engine's work counters.
 pub fn engines_agree(case: &Case) -> Result<(), String> {
     let cfg = config(case.theta);
     let serial = Engine::Serial
@@ -241,6 +263,8 @@ pub fn engines_agree(case: &Case) -> Result<(), String> {
                 serial.stats.classes
             ));
         }
+        assert_same_work(&serial, &other, true)
+            .map_err(|msg| format!("engines[{}]: {msg}", engine.name()))?;
     }
     Ok(())
 }
@@ -438,6 +462,7 @@ pub const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// Relation 9: the sharded out-of-core miner reproduces the serial
 /// result byte for byte at every shard count, single- and multi-threaded,
+/// with the serial engine's occurrence, index-update and Step 3 counters,
 /// and always reports a complete (ungoverned) termination.
 pub fn shard_count_invariance(case: &Case) -> Result<(), String> {
     let cfg = config(case.theta);
@@ -463,6 +488,7 @@ pub fn shard_count_invariance(case: &Case) -> Result<(), String> {
                 ));
             }
             assert_engines_identical(&serial, &outcome.result)
+                .and_then(|()| assert_same_work(&serial, &outcome.result, false))
                 .map_err(|msg| format!("shard-invariance[P={shards},t={threads}]: {msg}"))?;
         }
     }

@@ -85,14 +85,25 @@ grep -qF ' 3026186 occurrence-index updates' <<<"$td15_out" || {
 # and require its exact summary and Step 3 lines. The index build counts
 # updates as the population of its bottom-up rows, so the update count
 # pins every (occurrence, admitted ancestor) pair under label pruning.
-echo "== D1000 OI pin (release mine, exact counters) =="
+# The same mine at two threads runs the pipelined engine, which must
+# print the identical summary, Step 2 and Step 3 lines.
+echo "== D1000 OI pin (release mine, exact counters, serial and pipelined) =="
 d1000_dir="$(mktemp -d)"
 cargo run --release -q -p taxogram -- generate --dataset D1000 --scale 1.0 \
     --out "$d1000_dir" >/dev/null
 d1000_out="$(cargo run --release -q -p taxogram -- mine \
     --taxonomy "$d1000_dir/taxonomy.txt" --database "$d1000_dir/database.txt" \
     --support 0.2 --max-edges 5)"
+d1000_piped_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$d1000_dir/taxonomy.txt" --database "$d1000_dir/database.txt" \
+    --support 0.2 --max-edges 5 --threads 2)"
 rm -rf "$d1000_dir"
+d1000_counters() { grep -E '^# ([0-9]+ of [0-9]+ patterns|step 2:|step 3:)' <<<"$1"; }
+if [ "$(d1000_counters "$d1000_out" | wc -l)" -ne 3 ] \
+    || [ "$(d1000_counters "$d1000_out")" != "$(d1000_counters "$d1000_piped_out")" ]; then
+    echo "!! FAIL: D1000 --threads 2 summary, Step 2 or Step 3 lines differ from the serial run" >&2
+    exit 1
+fi
 grep -qxF '# 144 of 144 patterns after filter, 55 classes, 690809 occurrence-index updates' \
     <<<"$d1000_out" || {
     echo "!! FAIL: D1000 pattern, class or occurrence-index update counts differ from the pinned line" >&2
