@@ -23,13 +23,15 @@
 //!    shard read, the partition bound drops every candidate whose known
 //!    local supports plus `⌈θ·nᵢ⌉ − 1` for each unreporting shard cannot
 //!    reach the global floor. The shards are then streamed again and
-//!    each survivor is recounted, with batched candidate-cache matching,
-//!    only in the shards where its support is unknown; per-shard counts
-//!    sum to exactly the serial engine's class supports.
+//!    each survivor is recounted only in the shards where its support is
+//!    unknown, by re-growing its embeddings along its minimal DFS code
+//!    ([`tsg_gspan::walk_codes`]); per-shard counts sum to exactly the
+//!    serial engine's class supports.
 //! 4. **Pass 2b — global Step 3**: each globally frequent class, taken
 //!    in canonical (= serial) order in batches of
-//!    [`ShardOptions::class_batch`], has its embeddings re-enumerated
-//!    over the shard stream and is then enumerated by the class path of
+//!    [`ShardOptions::class_batch`], has its embeddings re-grown along
+//!    its code over the shard stream — the serial gSpan lists, shard by
+//!    shard — and is then enumerated by the class path of
 //!    [`crate::Taxogram::mine`] against the global database
 //!    size — so specialization supports, the minimality filter, and the
 //!    emission order are *byte-identical* to the single-pass serial
@@ -514,7 +516,7 @@ fn mine_impl(
     let batch_size = options.class_batch.max(1);
     'batches: for batch in frequent.chunks(batch_size) {
         let (slots, stopped) = scan_shards(&set, threads, governor, |shard, shard_db| {
-            pass2::collect_shard_embeddings(&shard_db, &unified, batch, set.range(shard).0)
+            pass2::collect_shard_embeddings(shard_db, &unified, batch, set.range(shard).0)
         })?;
         shard_stats.db_streams += 1;
         if stopped {
@@ -656,6 +658,14 @@ mod tests {
         tsg_taxonomy::taxonomy_from_edges(3, std::iter::empty()).unwrap()
     }
 
+    /// In-memory copies of the planned shards.
+    fn planned_shards(db: &GraphDatabase, shards: usize) -> Vec<GraphDatabase> {
+        plan_shards(db, &options(shards, 1))
+            .into_iter()
+            .map(|(lo, hi)| GraphDatabase::from_graphs(db.graphs()[lo..hi].to_vec()))
+            .collect()
+    }
+
     /// Pass 1 and the bound on in-memory copies of the planned shards:
     /// returns the surviving and the pruned candidates plus the global
     /// floor.
@@ -668,8 +678,7 @@ mod tests {
         let unified = Arc::new(t.unify_most_general());
         let mut local_mins = Vec::new();
         let mut per_shard = Vec::new();
-        for (lo, hi) in plan_shards(db, &options(shards, 1)) {
-            let shard_db = GraphDatabase::from_graphs(db.graphs()[lo..hi].to_vec());
+        for shard_db in planned_shards(db, shards) {
             let s = pass1::mine_shard(shard_db, &unified, cfg);
             local_mins.push(s.local_min);
             per_shard.push(s.classes);
@@ -810,6 +819,39 @@ mod tests {
             }
         }
         assert!(pruned_total > 0, "the generated cases must exercise the bound");
+    }
+
+    #[test]
+    fn pass2a_walk_recounts_equal_subgraph_isomorphism_counts() {
+        let n = tsg_testkit::gen::case_count(64);
+        let mut recounts_total = 0;
+        for case in tsg_testkit::gen::cases(0xb0_0d, n) {
+            let (db, t) = (&case.db, &case.taxonomy);
+            let cfg = TaxogramConfig::with_threshold(case.theta).max_edges(3);
+            let unified = t.unify_most_general();
+            for shards in [2, 3, 5, 8] {
+                let (survivors, _, _) = pass1_and_bound(&cfg, db, t, shards);
+                for (shard, shard_db) in planned_shards(db, shards).into_iter().enumerate() {
+                    let mut relabeled = shard_db.clone();
+                    crate::relabel::relabel_in_place(&mut relabeled, &unified);
+                    let matcher = tsg_iso::ExactMatcher;
+                    let batched = tsg_iso::BatchedMatcher::new(&relabeled, &matcher);
+                    let (supports, recounts) =
+                        pass2::shard_supports(shard_db, &unified, &survivors, shard);
+                    for (c, sup) in survivors.iter().zip(supports) {
+                        assert_eq!(
+                            sup,
+                            batched.support_count(&c.skeleton),
+                            "seed {:#x}, {shards} shards, shard {shard}: {}",
+                            case.seed,
+                            c.code
+                        );
+                    }
+                    recounts_total += recounts;
+                }
+            }
+        }
+        assert!(recounts_total > 0, "the generated cases must exercise the recount");
     }
 
     #[test]

@@ -9,21 +9,23 @@
 //!   candidate whose bound is below the global floor is dropped without
 //!   a single match.
 //! * **Pass 2a** ([`shard_supports`]) recounts each surviving candidate
-//!   only in the shards where its support is unknown, with
-//!   [`tsg_iso::BatchedMatcher`] — one candidate-set cache per resident
-//!   graph amortizes label-compatibility scans across the recount list —
-//!   and fills in the known supports elsewhere. Matching the
-//!   most-general skeleton *exactly* against the relabeled shard is the
-//!   same predicate gSpan's class support uses on the whole relabeled
-//!   database, so summing per-shard counts yields exactly the serial
-//!   engine's class supports.
-//! * **Pass 2b** re-enumerates each globally frequent class's
-//!   embeddings on global data, shard by shard, via
-//!   [`BatchedMatcher::for_each_embedding`]. Concatenating per-shard
-//!   embedding lists in shard order restores ascending graph-id order,
-//!   and each embedding's `map` is indexed by skeleton vertex id = DFS
-//!   id — the exact shape Step 3's occurrence index expects from the
-//!   single-pass engines.
+//!   only in the shards where its support is unknown, and fills in the
+//!   known supports elsewhere. The recount is one
+//!   [`tsg_gspan::walk_codes`] walk of the relabeled shard over the
+//!   codes still unknown there; a code's support is the number of
+//!   distinct graphs in the embedding list the walk hands over. That is
+//!   gSpan's class support restricted to the shard, so summing per-shard
+//!   counts yields exactly the serial engine's class supports.
+//! * **Pass 2b** ([`collect_shard_embeddings`]) re-grows each globally
+//!   frequent class's embeddings on global data, shard by shard, with
+//!   the same walk over the batch's codes. Every prefix of a minimal DFS
+//!   code is minimal, so the walk replays serial gSpan's growth steps
+//!   along the codes alone — no counting, minimality check or
+//!   isomorphism test — and each list equals serial gSpan's list for
+//!   that code restricted to the shard, in the same order. Concatenating
+//!   per-shard lists in shard order therefore restores the single-pass
+//!   engines' exact embedding lists, the shape Step 3's occurrence index
+//!   expects.
 //!
 //! Every shard read relabels against the run's once-unified taxonomy
 //! ([`crate::relabel::relabel_in_place`]); unification does not depend
@@ -31,9 +33,8 @@
 
 use super::pass1::Candidate;
 use crate::relabel::relabel_in_place;
-use tsg_gspan::Embedding;
+use tsg_gspan::{distinct_graph_count, walk_codes, DfsCode, Embedding};
 use tsg_graph::{GraphDatabase, NodeLabel};
-use tsg_iso::{BatchedMatcher, ExactMatcher};
 use tsg_taxonomy::Taxonomy;
 
 /// Splits Pass 1's candidates into `(survivors, pruned)` by the partition
@@ -64,20 +65,25 @@ pub(crate) fn shard_supports(
     survivors: &[Candidate],
     shard: usize,
 ) -> (Vec<usize>, usize) {
-    relabel_in_place(&mut shard_db, unified);
-    let matcher = ExactMatcher;
-    let batched = BatchedMatcher::new(&shard_db, &matcher);
-    let mut recounts = 0;
-    let supports = survivors
-        .iter()
-        .map(|c| {
-            c.known_in(shard).unwrap_or_else(|| {
-                recounts += 1;
-                batched.support_count(&c.skeleton)
-            })
-        })
-        .collect();
-    (supports, recounts)
+    let mut supports = Vec::with_capacity(survivors.len());
+    let mut unknown = Vec::new();
+    for (i, c) in survivors.iter().enumerate() {
+        let known = c.known_in(shard);
+        if known.is_none() {
+            unknown.push(i);
+        }
+        supports.push(known.unwrap_or(0));
+    }
+    if !unknown.is_empty() {
+        relabel_in_place(&mut shard_db, unified);
+        // A subsequence of the sorted survivors is sorted too; a code the
+        // walk never visits occurs in no graph of this shard.
+        let codes: Vec<&DfsCode> = unknown.iter().map(|&i| &survivors[i].code).collect(); // tsg-lint: allow(index) — unknown holds indices of survivors
+        walk_codes(&shard_db, &codes, |k, embeddings| {
+            supports[unknown[k]] = distinct_graph_count(&embeddings); // tsg-lint: allow(index) — k indexes codes, which is parallel to unknown; its entries index supports
+        });
+    }
+    (supports, unknown.len())
 }
 
 /// What one shard contributes to a Pass 2b class batch.
@@ -92,38 +98,32 @@ pub(crate) struct ShardEmbeddings {
 }
 
 /// Collects every embedding of every batch class within one resident
-/// shard. `start` is the shard's first global graph id.
+/// shard, relabeling it in place. `start` is the shard's first global
+/// graph id.
 pub(crate) fn collect_shard_embeddings(
-    shard_db: &GraphDatabase,
+    mut shard_db: GraphDatabase,
     unified: &Taxonomy,
     batch: &[Candidate],
     start: usize,
 ) -> ShardEmbeddings {
-    let mut dmg = shard_db.clone();
-    relabel_in_place(&mut dmg, unified);
-    let matcher = ExactMatcher;
-    let batched = BatchedMatcher::new(&dmg, &matcher);
+    let labels: Vec<Vec<NodeLabel>> = shard_db.iter().map(|(_, g)| g.labels().to_vec()).collect();
+    relabel_in_place(&mut shard_db, unified);
     let mut touched = vec![false; shard_db.len()];
-    let mut per_class = Vec::with_capacity(batch.len());
-    for class in batch {
-        let mut embeddings = Vec::new();
-        batched.for_each_embedding(&class.skeleton, |local, map| {
-            touched[local] = true; // tsg-lint: allow(index) — local < shard_db.len(), the shard's graph count
-            embeddings.push(Embedding {
-                gid: start + local,
-                map: map.to_vec(),
-                // Step 3 reads only `gid` and `map`; code-edge ids are a
-                // gSpan-internal bookkeeping detail with no consumer here.
-                edges: Vec::new(),
-            });
-        });
-        per_class.push(embeddings);
-    }
-    let originals = shard_db
-        .iter()
+    let mut per_class: Vec<Vec<Embedding>> = vec![Vec::new(); batch.len()];
+    let codes: Vec<&DfsCode> = batch.iter().map(|c| &c.code).collect();
+    walk_codes(&shard_db, &codes, |k, mut embeddings| {
+        for e in &mut embeddings {
+            touched[e.gid] = true; // tsg-lint: allow(index) — embedding gids index the shard's graphs
+            e.gid += start;
+        }
+        per_class[k] = embeddings; // tsg-lint: allow(index) — k indexes codes, which is parallel to batch
+    });
+    let originals = labels
+        .into_iter()
         .zip(&touched)
-        .filter(|&(_, &t)| t)
-        .map(|((local, g), _)| (start + local, g.labels().to_vec()))
+        .enumerate()
+        .filter(|&(_, (_, &t))| t)
+        .map(|(local, (labels, _))| (start + local, labels))
         .collect();
     ShardEmbeddings {
         per_class,

@@ -189,6 +189,14 @@ pub fn seed_extensions(
         .filter(|&(_, support)| support >= min_support)
         .map(|(key, _)| key)
         .collect();
+    let grown = seed_embeddings(db, &keys);
+    keys.into_iter().zip(grown).collect()
+}
+
+/// The embeddings of each seed key in `keys` (sorted canonically, without
+/// duplicates), parallel to `keys`, each list in database order. A key
+/// that no seed candidate of `db` realizes gets an empty list.
+pub(crate) fn seed_embeddings(db: &GraphDatabase, keys: &[DfsEdge]) -> Vec<Vec<Embedding>> {
     let mut grown: Vec<Vec<Embedding>> = vec![Vec::new(); keys.len()];
     if !keys.is_empty() {
         for_each_seed_candidate(db, |key, gid, a, b, eid| {
@@ -201,7 +209,7 @@ pub fn seed_extensions(
             }
         });
     }
-    keys.into_iter().zip(grown).collect()
+    grown
 }
 
 /// The smallest seed key of `db` with its embedding list written into

@@ -38,6 +38,7 @@ mod extension;
 mod minimal;
 mod miner;
 pub mod oracle;
+mod walk;
 
 pub use dfs_code::{dfs_edge_cmp, ArcDir, DfsCode, DfsEdge};
 pub use extension::{
@@ -49,3 +50,4 @@ pub use miner::{
     mine_frequent, ClassHandoff, CollectSink, FrequentPattern, GSpan, GSpanConfig, GSpanStats,
     Grow, MinedPattern, PatternSink,
 };
+pub use walk::walk_codes;

@@ -24,10 +24,9 @@
 
 use crate::LabelMatcher;
 use std::cell::RefCell;
-use std::ops::ControlFlow;
 use std::rc::Rc;
 use tsg_bitset::BitSet;
-use tsg_graph::{GraphDatabase, GraphId, LabeledGraph, NodeId, NodeLabel};
+use tsg_graph::{GraphDatabase, LabeledGraph, NodeId, NodeLabel};
 
 /// Per-target index: each distinct vertex label mapped to the ascending
 /// list of target vertices carrying it.
@@ -137,24 +136,5 @@ impl<'a, M: LabelMatcher> BatchedMatcher<'a, M> {
             .iter()
             .filter(|c| crate::subiso::contains_subgraph_cached(pattern, c))
             .count()
-    }
-
-    /// Streams every embedding of `pattern` in every target graph, in
-    /// database order, as `(graph id, pattern vertex → target vertex)`
-    /// pairs. The batched Pass-2 entry of the sharded SON miner: the
-    /// candidate caches amortize label-compatibility scans across the
-    /// whole candidate list, and the mapping slice is borrowed, so
-    /// callers copy only the embeddings they keep.
-    pub fn for_each_embedding(
-        &self,
-        pattern: &LabeledGraph,
-        mut visit: impl FnMut(GraphId, &[NodeId]),
-    ) {
-        for (gid, cache) in self.caches.iter().enumerate() {
-            crate::subiso::enumerate_embeddings_cached(pattern, cache, |map| {
-                visit(gid, map);
-                ControlFlow::Continue(())
-            });
-        }
     }
 }

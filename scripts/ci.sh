@@ -86,8 +86,10 @@ grep -qF ' 3026186 occurrence-index updates' <<<"$td15_out" || {
 # updates as the population of its bottom-up rows, so the update count
 # pins every (occurrence, admitted ancestor) pair under label pruning.
 # The same mine at two threads runs the pipelined engine, which must
-# print the identical summary, Step 2 and Step 3 lines.
-echo "== D1000 OI pin (release mine, exact counters, serial and pipelined) =="
+# print the identical summary, Step 2 and Step 3 lines. Mined again over
+# 41 shards, it must print the serial summary and Step 3 lines and the
+# exact sharding counters.
+echo "== D1000 OI pin (release mine, exact counters, serial, pipelined and sharded) =="
 d1000_dir="$(mktemp -d)"
 cargo run --release -q -p taxogram -- generate --dataset D1000 --scale 1.0 \
     --out "$d1000_dir" >/dev/null
@@ -97,6 +99,9 @@ d1000_out="$(cargo run --release -q -p taxogram -- mine \
 d1000_piped_out="$(cargo run --release -q -p taxogram -- mine \
     --taxonomy "$d1000_dir/taxonomy.txt" --database "$d1000_dir/database.txt" \
     --support 0.2 --max-edges 5 --threads 2)"
+d1000_sharded_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$d1000_dir/taxonomy.txt" --database "$d1000_dir/database.txt" \
+    --support 0.2 --max-edges 5 --shards 41)"
 rm -rf "$d1000_dir"
 d1000_counters() { grep -E '^# ([0-9]+ of [0-9]+ patterns|step 2:|step 3:)' <<<"$1"; }
 if [ "$(d1000_counters "$d1000_out" | wc -l)" -ne 3 ] \
@@ -114,12 +119,25 @@ grep -qxF '# step 3: 144 vectors, 5045 intersections, 0 over-generalized' \
     echo "!! FAIL: D1000 Step 3 counters differ from the pinned line" >&2
     exit 1
 }
+d1000_summary() { grep -E '^# ([0-9]+ of [0-9]+ patterns|step 3:)' <<<"$1"; }
+if [ "$(d1000_summary "$d1000_sharded_out")" != "$(d1000_summary "$d1000_out")" ]; then
+    echo "!! FAIL: D1000 --shards 41 summary or Step 3 lines differ from the serial run" >&2
+    exit 1
+fi
+grep -qxF '# 144 patterns from 41 shards (395 candidates, 340 globally infrequent, 336 bound-pruned, 390 recounts, 179512 bytes spilled / largest shard 4524, 9 db streams)' \
+    <<<"$d1000_sharded_out" || {
+    echo "!! FAIL: D1000 --shards 41 sharding counters differ from the pinned line" >&2
+    exit 1
+}
 
 # Symmetric-skeleton pin: D1000 at scale 0.2 (20 of its 101 classes have
 # a non-trivial automorphism group), mined in release mode with every
 # enhancement and again as the baseline (no contraction, no Apriori
 # pruning). Step 3 descends into each pattern orbit from its one
-# canonical parent, so its exact counters pin the orbit rule too.
+# canonical parent, so its exact counters pin the orbit rule too. A run
+# over 7 shards must print the same lines: the sharded Pass 2 re-grows
+# every automorphic embedding of a symmetric skeleton, or Step 3's
+# counters move.
 echo "== D1000 s0.2 symmetric-skeleton pin (release mine, exact counters) =="
 d02_dir="$(mktemp -d)"
 cargo run --release -q -p taxogram -- generate --dataset D1000 --scale 0.2 \
@@ -130,6 +148,9 @@ d02_out="$(cargo run --release -q -p taxogram -- mine \
 d02_base_out="$(cargo run --release -q -p taxogram -- mine \
     --taxonomy "$d02_dir/taxonomy.txt" --database "$d02_dir/database.txt" \
     --support 0.1 --max-edges 5 --baseline true)"
+d02_sharded_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$d02_dir/taxonomy.txt" --database "$d02_dir/database.txt" \
+    --support 0.1 --max-edges 5 --shards 7)"
 rm -rf "$d02_dir"
 grep -qxF '# 2272 of 2272 patterns after filter, 101 classes, 287322 occurrence-index updates' \
     <<<"$d02_out" || {
@@ -146,6 +167,14 @@ grep -qxF '# step 3: 2946 vectors, 1588631 intersections, 674 over-generalized' 
     echo "!! FAIL: D1000 s0.2 baseline Step 3 counters differ from the pinned line" >&2
     exit 1
 }
+for line in '# 2272 of 2272 patterns after filter, 101 classes, 287322 occurrence-index updates' \
+    '# step 3: 2749 vectors, 23820 intersections, 477 over-generalized' \
+    '# 2272 patterns from 7 shards (1034 candidates, 933 globally infrequent, 823 bound-pruned, 542 recounts, 35752 bytes spilled / largest shard 5285, 15 db streams)'; do
+    grep -qxF "$line" <<<"$d02_sharded_out" || {
+        echo "!! FAIL: D1000 s0.2 --shards 7 lacks the pinned line: $line" >&2
+        exit 1
+    }
+done
 
 cargo clippy --workspace --all-targets -- -D warnings
 

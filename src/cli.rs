@@ -232,7 +232,21 @@ fn govern_flags(args: &Args) -> Result<Option<taxogram_core::GovernOptions>, Cli
     Ok(Some(taxogram_core::GovernOptions::with_budget(budget)))
 }
 
+/// The largest `--threads` value `mine` accepts. Each thread past the
+/// first is an OS thread the engine spawns outright, so a mistyped count
+/// would exhaust the process's threads or memory before mining a graph.
+const MAX_THREADS: usize = 1024;
+
 fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    // Checked before any input is read, so a bad count fails fast.
+    let threads: usize = match args.get("threads") {
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&n| n <= MAX_THREADS)
+            .ok_or_else(|| err(format!("--threads must be an integer of at most {MAX_THREADS}")))?,
+        None => 1,
+    };
     let (names, taxonomy, db) = load_inputs(args)?;
     let theta: f64 = args
         .require("support")?
@@ -248,10 +262,6 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             .name(l)
             .map(str::to_owned)
             .unwrap_or_else(|| l.to_string())
-    };
-    let threads: usize = match args.get("threads") {
-        Some(s) => s.parse().map_err(|_| err("--threads must be an integer"))?,
-        None => 1,
     };
     let shards: usize = match args.get("shards") {
         Some(s) => s.parse().map_err(|_| err("--shards must be an integer"))?,
@@ -954,6 +964,21 @@ mod tests {
         assert!(out.contains("--threads"), "{out}");
         let (code, out) = tacgm_with("tacgm-one-thread", &["--threads", "1"]);
         assert_eq!(code, 0, "{out}");
+    }
+
+    #[test]
+    fn mine_rejects_threads_above_the_ceiling() {
+        // The count is checked before the inputs are read, so nothing is
+        // mined and no thread is started.
+        let huge = (MAX_THREADS + 1).to_string();
+        for bad in [huge.as_str(), "18446744073709551615", "many"] {
+            let (code, out) = run_capture(&[
+                "mine", "--taxonomy", "no-such-taxonomy", "--database", "no-such-database",
+                "--support", "0.4", "--threads", bad,
+            ]);
+            assert_eq!(code, 2, "{out}");
+            assert!(out.contains("--threads"), "{out}");
+        }
     }
 
     #[test]
