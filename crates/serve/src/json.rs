@@ -166,6 +166,18 @@ pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The number of bytes [`escape_into`] appends for `s`.
+pub(crate) fn escaped_len(s: &str) -> usize {
+    2 + s
+        .chars()
+        .map(|c| match c {
+            '"' | '\\' | '\n' | '\r' | '\t' => 2,
+            c if (c as u32) < 0x20 => 6,
+            c => c.len_utf8(),
+        })
+        .sum::<usize>()
+}
+
 /// Parses one complete JSON document from `text`, rejecting trailing
 /// non-whitespace.
 ///
@@ -339,13 +351,20 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..]; // tsg-lint: allow(index) — pos is bounded by bytes.len() in the scanner loop
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty"); // tsg-lint: allow(panic) — the validated utf-8 remainder is non-empty after the peek
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the run up to the next quote, backslash or
+                    // control byte. Those are ASCII, so the run ends on a
+                    // char boundary of the `&str` input, and only the run
+                    // is validated, not the rest of the document.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = self
+                        .bytes
+                        .get(start..self.pos)
+                        .and_then(|r| std::str::from_utf8(r).ok())
+                        .ok_or_else(|| self.err("bad utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -399,6 +418,21 @@ mod tests {
         assert_eq!(
             parse(r#""A\/""#).unwrap(),
             Json::Str("A/".into())
+        );
+    }
+
+    #[test]
+    fn long_documents_parse_in_one_pass() {
+        // Each string char once validated the whole remaining document,
+        // which made this 1.3 MB array take minutes.
+        let doc = format!("[{}]", vec![r#"{"key":"vé→𝄞"}"#; 100_000].join(","));
+        let Json::Arr(items) = parse(&doc).unwrap() else {
+            panic!("not an array")
+        };
+        assert_eq!(items.len(), 100_000);
+        assert_eq!(
+            items[99_999].get("key").and_then(Json::as_str),
+            Some("vé→𝄞")
         );
     }
 

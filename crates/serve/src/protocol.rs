@@ -35,9 +35,8 @@
 //!
 //! [`Termination`]: taxogram_core::Termination
 
-use crate::json::{escape_into, Json};
+use crate::json::{escape_into, escaped_len, Json};
 use std::borrow::Borrow;
-use std::fmt::Write as _;
 use std::time::Duration;
 use taxogram_core::{Pattern, Termination, TerminationReason};
 
@@ -207,12 +206,113 @@ fn parse_mine(v: &Json) -> Result<MineRequest, (ErrorCode, String)> {
     })
 }
 
-fn push_id(out: &mut String, id: Option<&str>) {
-    out.push_str("\"id\":");
-    match id {
-        Some(id) => escape_into(id, out),
-        None => out.push_str("null"),
+/// Where a render goes. [`Measure`] counts the bytes a render would
+/// write and `String` writes them; every response is written by one
+/// routine driven through both, so the size pass and the write pass
+/// cannot disagree and the buffer is allocated once, exactly.
+trait Sink {
+    /// Literal text, as is.
+    fn text(&mut self, s: &str);
+    /// An unsigned integer in decimal.
+    fn uint(&mut self, n: u64);
+    /// A quoted, escaped JSON string.
+    fn json_str(&mut self, s: &str);
+}
+
+/// A [`Sink`] that counts bytes instead of writing them.
+struct Measure(usize);
+
+impl Sink for Measure {
+    fn text(&mut self, s: &str) {
+        self.0 += s.len();
     }
+
+    fn uint(&mut self, n: u64) {
+        // Labels, node ids and supports are mostly short: compare first.
+        self.0 += match n {
+            0..=9 => 1,
+            10..=99 => 2,
+            100..=999 => 3,
+            _ => n.ilog10() as usize + 1,
+        };
+    }
+
+    fn json_str(&mut self, s: &str) {
+        self.0 += escaped_len(s);
+    }
+}
+
+impl Sink for String {
+    fn text(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    /// Digits come least significant first from `% 10` into a stack
+    /// buffer and are copied out from there: no `core::fmt` per number.
+    fn uint(&mut self, n: u64) {
+        if n < 10 {
+            self.push(char::from(b'0' + n as u8));
+            return;
+        }
+        let mut digits = [0u8; 20];
+        let mut rest = n;
+        let mut len = 0;
+        for slot in digits.iter_mut().rev() {
+            *slot = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            len += 1;
+            if rest == 0 {
+                break;
+            }
+        }
+        for &d in digits.iter().skip(digits.len() - len) {
+            self.push(char::from(d));
+        }
+    }
+
+    fn json_str(&mut self, s: &str) {
+        escape_into(s, self);
+    }
+}
+
+fn push_id(out: &mut impl Sink, id: Option<&str>) {
+    out.text("\"id\":");
+    match id {
+        Some(id) => out.json_str(id),
+        None => out.text("null"),
+    }
+}
+
+fn write_patterns<P: Borrow<Pattern>>(out: &mut impl Sink, patterns: &[P]) {
+    out.text("[");
+    for (i, p) in patterns.iter().enumerate() {
+        let p = p.borrow();
+        out.text(if i > 0 {
+            ",{\"support_count\":"
+        } else {
+            "{\"support_count\":"
+        });
+        out.uint(p.support_count as u64);
+        out.text(",\"labels\":[");
+        for (j, l) in p.graph.labels().iter().enumerate() {
+            if j > 0 {
+                out.text(",");
+            }
+            out.uint(u64::from(l.0));
+        }
+        out.text("],\"edges\":[");
+        for (j, e) in p.graph.edges().iter().enumerate() {
+            out.text(if j > 0 { ",[" } else { "[" });
+            out.uint(e.u as u64);
+            out.text(",");
+            out.uint(e.v as u64);
+            out.text(",");
+            out.uint(u64::from(e.label.0));
+            out.text("]");
+        }
+        out.text("]}");
+    }
+    out.text("]");
 }
 
 /// Renders the patterns array of a `result` response, from owned
@@ -220,29 +320,10 @@ fn push_id(out: &mut String, id: Option<&str>) {
 /// cache-soundness suite asserts *byte identity* of this exact rendering
 /// between a θ-filtered cached run and a fresh mine.
 pub fn render_patterns<P: Borrow<Pattern>>(patterns: &[P]) -> String {
-    let mut out = String::from("[");
-    for (i, p) in patterns.iter().enumerate() {
-        let p = p.borrow();
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"support_count\":{},\"labels\":[", p.support_count);
-        for (j, l) in p.graph.labels().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}", l.0);
-        }
-        out.push_str("],\"edges\":[");
-        for (j, e) in p.graph.edges().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{},{},{}]", e.u, e.v, e.label.0);
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
+    let mut size = Measure(0);
+    write_patterns(&mut size, patterns);
+    let mut out = String::with_capacity(size.0);
+    write_patterns(&mut out, patterns);
     out
 }
 
@@ -255,7 +336,51 @@ fn reason_str(reason: &TerminationReason) -> String {
     }
 }
 
+/// The fields of one `result` line, written by [`ResultLine::write`].
+struct ResultLine<'a, P> {
+    id: Option<&'a str>,
+    cache: CacheStatus,
+    min_support_count: usize,
+    database_size: usize,
+    patterns: &'a [P],
+    reason: &'a str,
+    termination: &'a Termination,
+    elapsed_ms: &'a str,
+}
+
+impl<P: Borrow<Pattern>> ResultLine<'_, P> {
+    fn write(&self, out: &mut impl Sink) {
+        out.text("{");
+        push_id(out, self.id);
+        out.text(",\"type\":\"result\",\"cache\":\"");
+        out.text(self.cache.as_str());
+        out.text("\",\"min_support_count\":");
+        out.uint(self.min_support_count as u64);
+        out.text(",\"database_size\":");
+        out.uint(self.database_size as u64);
+        out.text(",\"patterns\":");
+        write_patterns(out, self.patterns);
+        out.text(",\"termination\":{\"reason\":\"");
+        out.text(self.reason);
+        out.text(if self.termination.is_complete() {
+            "\",\"complete\":true,\"classes_finished\":"
+        } else {
+            "\",\"complete\":false,\"classes_finished\":"
+        });
+        out.uint(self.termination.classes_finished as u64);
+        out.text(",\"classes_abandoned\":");
+        out.uint(self.termination.classes_abandoned as u64);
+        out.text("},\"elapsed_ms\":");
+        out.text(self.elapsed_ms);
+        out.text("}");
+    }
+}
+
 /// Builds a `result` response line (without the trailing newline).
+///
+/// The line is measured first and written into one buffer of exactly
+/// its length plus one byte, so the daemon appends its `\n` without
+/// reallocating.
 pub fn result_response<P: Borrow<Pattern>>(
     id: Option<&str>,
     patterns: &[P],
@@ -265,23 +390,22 @@ pub fn result_response<P: Borrow<Pattern>>(
     cache: CacheStatus,
     elapsed_ms: f64,
 ) -> String {
-    let mut out = String::from("{");
-    push_id(&mut out, id);
-    let _ = write!(
-        out,
-        ",\"type\":\"result\",\"cache\":\"{}\",\"min_support_count\":{min_support_count},\"database_size\":{database_size},\"patterns\":",
-        cache.as_str()
-    );
-    out.push_str(&render_patterns(patterns));
-    let _ = write!(
-        out,
-        ",\"termination\":{{\"reason\":\"{}\",\"complete\":{},\"classes_finished\":{},\"classes_abandoned\":{}}}",
-        reason_str(&termination.reason),
-        termination.is_complete(),
-        termination.classes_finished,
-        termination.classes_abandoned,
-    );
-    let _ = write!(out, ",\"elapsed_ms\":{elapsed_ms:.3}}}");
+    let reason = reason_str(&termination.reason);
+    let elapsed_ms = format!("{elapsed_ms:.3}");
+    let line = ResultLine {
+        id,
+        cache,
+        min_support_count,
+        database_size,
+        patterns,
+        reason: &reason,
+        termination,
+        elapsed_ms: &elapsed_ms,
+    };
+    let mut size = Measure(1);
+    line.write(&mut size);
+    let mut out = String::with_capacity(size.0);
+    line.write(&mut out);
     out
 }
 
@@ -289,7 +413,9 @@ pub fn result_response<P: Borrow<Pattern>>(
 pub fn error_response(id: Option<&str>, code: ErrorCode, message: &str) -> String {
     let mut out = String::from("{");
     push_id(&mut out, id);
-    let _ = write!(out, ",\"type\":\"error\",\"code\":\"{}\",\"message\":", code.as_str());
+    out.push_str(",\"type\":\"error\",\"code\":\"");
+    out.push_str(code.as_str());
+    out.push_str("\",\"message\":");
     escape_into(message, &mut out);
     out.push('}');
     out
@@ -299,7 +425,9 @@ pub fn error_response(id: Option<&str>, code: ErrorCode, message: &str) -> Strin
 pub fn shed_response(id: Option<&str>, retry_after_ms: u64) -> String {
     let mut out = String::from("{");
     push_id(&mut out, id);
-    let _ = write!(out, ",\"type\":\"shed\",\"retry_after_ms\":{retry_after_ms}}}");
+    out.push_str(",\"type\":\"shed\",\"retry_after_ms\":");
+    out.uint(retry_after_ms);
+    out.push('}');
     out
 }
 
@@ -362,6 +490,24 @@ mod tests {
         for (frame, want) in cases {
             let (code, msg) = parse_request(frame).unwrap_err();
             assert_eq!(code, want, "{frame}: {msg}");
+        }
+    }
+
+    #[test]
+    fn digit_writer_matches_display() {
+        let mut edges = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        edges.extend(
+            (0..20)
+                .map(|k| 10u64.pow(k))
+                .flat_map(|p| [p - 1, p, p + 1]),
+        );
+        for n in edges {
+            let mut out = String::from("x");
+            out.uint(n);
+            assert_eq!(out, format!("x{n}"));
+            let mut size = Measure(0);
+            size.uint(n);
+            assert_eq!(size.0, n.to_string().len(), "{n}");
         }
     }
 

@@ -753,6 +753,9 @@ fn peer_state(stream: &TcpStream) -> PeerState {
     state
 }
 
+/// Sends `line` and its `\n`. A `result` line arrives with that byte
+/// already reserved (see [`crate::protocol::result_response`]), so a
+/// multi-megabyte response is not reallocated for it.
 fn write_line(stream: &mut TcpStream, mut line: String) -> bool {
     line.push('\n');
     stream.write_all(line.as_bytes()).is_ok()
@@ -1003,17 +1006,20 @@ fn handle_mine(
     };
     let delivered = match reply.outcome {
         Ok(outcome) => {
-            if outcome.termination.is_complete() {
-                if use_cache {
-                    shared.cache.insert(
-                        key,
-                        theta,
-                        Arc::new(outcome.result.clone()),
-                        outcome.termination.clone(),
-                    );
-                }
-            } else {
+            let mut result = outcome.result;
+            let complete = outcome.termination.is_complete();
+            if complete && use_cache {
+                // The cache keeps the run itself, not an exact-size
+                // clone: drop the spare capacity left by its growth.
+                result.patterns.shrink_to_fit();
+            }
+            let run = Arc::new(result);
+            if !complete {
                 shared.counters.degraded.fetch_add(1, Ordering::Relaxed); // tsg-lint: ordering(ORD-15)
+            } else if use_cache {
+                shared
+                    .cache
+                    .insert(key, theta, Arc::clone(&run), outcome.termination.clone());
             }
             shared.counters.results_ok.fetch_add(1, Ordering::Relaxed); // tsg-lint: ordering(ORD-15)
             let cache_status = if use_cache {
@@ -1025,10 +1031,10 @@ fn handle_mine(
                 stream,
                 crate::protocol::result_response(
                     id_ref,
-                    &outcome.result.patterns,
+                    &run.patterns,
                     &outcome.termination,
-                    outcome.result.min_support_count,
-                    outcome.result.database_size,
+                    run.min_support_count,
+                    run.database_size,
                     cache_status,
                     reply.mine_ms,
                 ),

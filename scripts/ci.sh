@@ -80,6 +80,14 @@ grep -qF ' 3026186 occurrence-index updates' <<<"$td15_out" || {
     echo "!! FAIL: TD15 occurrence-index update count differs from 3026186" >&2
     exit 1
 }
+# Output byte pin: the checksum of the pattern lines (every line but the
+# `#` ones, since `# mined … in` carries a time), so a printer that
+# changes one byte of one of the 103456 lines fails here.
+pattern_cksum() { grep -v '^#' <<<"$1" | cksum; }
+[ "$(pattern_cksum "$td15_out")" = '4104776896 5729293' ] || {
+    echo "!! FAIL: TD15 pattern lines differ from the pinned checksum" >&2
+    exit 1
+}
 
 # Lemma 5 pin on the wide GO-like taxonomy: mine D1000 in release mode
 # and require its exact summary and Step 3 lines. The index build counts
@@ -129,6 +137,12 @@ grep -qxF '# 144 patterns from 41 shards (395 candidates, 340 globally infrequen
     echo "!! FAIL: D1000 --shards 41 sharding counters differ from the pinned line" >&2
     exit 1
 }
+for run in "$d1000_out" "$d1000_piped_out" "$d1000_sharded_out"; do
+    [ "$(pattern_cksum "$run")" = '1048487460 6548' ] || {
+        echo "!! FAIL: D1000 pattern lines (serial, --threads 2 or --shards 41) differ from the pinned checksum" >&2
+        exit 1
+    }
+done
 
 # Symmetric-skeleton pin: D1000 at scale 0.2 (20 of its 101 classes have
 # a non-trivial automorphism group), mined in release mode with every

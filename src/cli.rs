@@ -238,6 +238,8 @@ fn govern_flags(args: &Args) -> Result<Option<taxogram_core::GovernOptions>, Cli
 const MAX_THREADS: usize = 1024;
 
 fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    // One line per pattern: buffered, and flushed before returning.
+    let out = &mut std::io::BufWriter::new(out);
     // Checked before any input is read, so a bad count fails fast.
     let threads: usize = match args.get("threads") {
         Some(s) => s
@@ -257,12 +259,6 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         None => None,
     };
     let algorithm = args.get("algorithm").unwrap_or("taxogram");
-    let name_of = |l: tsg_graph::NodeLabel| {
-        names
-            .name(l)
-            .map(str::to_owned)
-            .unwrap_or_else(|| l.to_string())
-    };
     let shards: usize = match args.get("shards") {
         Some(s) => s.parse().map_err(|_| err("--shards must be an integer"))?,
         None => 0,
@@ -350,7 +346,7 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 }
             }
             for p in &selected {
-                print_pattern(out, &p.graph, p.support_count, db.len(), &name_of)?;
+                print_pattern(out, &p.graph, p.support_count, db.len(), &names)?;
             }
             writeln!(
                 out,
@@ -422,7 +418,7 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             cfg.max_edges = max_edges;
             let r = tsg_tacgm::mine(&db, &taxonomy, &cfg).map_err(|e| err(e.to_string()))?;
             for p in &r.patterns {
-                print_pattern(out, &p.graph, p.support_count, db.len(), &name_of)?;
+                print_pattern(out, &p.graph, p.support_count, db.len(), &names)?;
             }
             writeln!(
                 out,
@@ -440,8 +436,16 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         printed,
         started.elapsed().as_secs_f64() * 1000.0
     )?;
+    out.flush()?;
     Ok(())
 }
+
+/// The largest `--workers`, `--queue` and `--max-connections` value
+/// `serve` accepts. The server spawns its workers outright and a thread
+/// per admitted connection, and each queued mine holds a connection
+/// waiting, so a mistyped count would exhaust the process's threads or
+/// memory.
+const MAX_SERVE_COUNT: usize = 1024;
 
 /// The `serve` subcommand: load once, bind, and answer mining queries
 /// until a shutdown arrives. With no signal handling available
@@ -451,9 +455,27 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// stdin is a terminal — ctrl-d — but a daemonized server whose stdin
 /// is `/dev/null` keeps running), or `--max-runtime-ms`.
 fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let mut opts = tsg_serve::ServeOptions::default();
+    // Checked before any input is read, so a bad count fails fast.
+    let capped_count = |name: &str, dflt: usize| -> Result<usize, CliError> {
+        match args.get(name) {
+            Some(s) => s
+                .parse()
+                .ok()
+                .filter(|&n| n <= MAX_SERVE_COUNT)
+                .ok_or_else(|| {
+                    err(format!(
+                        "--{name} must be an integer of at most {MAX_SERVE_COUNT}"
+                    ))
+                }),
+            None => Ok(dflt),
+        }
+    };
+    opts.workers = capped_count("workers", opts.workers)?.max(1);
+    opts.queue_depth = capped_count("queue", opts.queue_depth)?.max(1);
+    opts.max_connections = capped_count("max-connections", opts.max_connections)?.max(1);
     let (_names, taxonomy, db) = load_inputs(args)?;
     let (graphs, concepts) = (db.len(), taxonomy.concept_count());
-    let mut opts = tsg_serve::ServeOptions::default();
     let parse_count = |name: &str, dflt: usize| -> Result<usize, CliError> {
         match args.get(name) {
             Some(s) => s
@@ -473,9 +495,6 @@ fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             None => Ok(None),
         }
     };
-    opts.workers = parse_count("workers", opts.workers)?.max(1);
-    opts.queue_depth = parse_count("queue", opts.queue_depth)?.max(1);
-    opts.max_connections = parse_count("max-connections", opts.max_connections)?.max(1);
     opts.cache_entries = parse_count("cache", opts.cache_entries)?;
     if let Some(d) = parse_secs("max-time-limit")? {
         opts.max_time_limit = d;
@@ -564,26 +583,33 @@ fn stdin_shutdown_watcher(addr: std::net::SocketAddr, eof_shuts_down: bool) {
     }
 }
 
+/// Writes one `support  [names]  edges` line. Labels print by their
+/// taxonomy name, or by id when the name table lacks one.
 fn print_pattern(
     out: &mut dyn Write,
     g: &tsg_graph::LabeledGraph,
     support_count: usize,
     db_len: usize,
-    name_of: &dyn Fn(tsg_graph::NodeLabel) -> String,
+    names: &LabelTable,
 ) -> Result<(), CliError> {
-    let nodes: Vec<String> = g.labels().iter().map(|&l| name_of(l)).collect();
-    let edges: Vec<String> = g
-        .edges()
-        .iter()
-        .map(|e| format!("{}-{}({})", e.u, e.v, e.label))
-        .collect();
-    writeln!(
-        out,
-        "{:.3}  [{}]  {}",
-        support_count as f64 / db_len as f64,
-        nodes.join(", "),
-        edges.join(" ")
-    )?;
+    write!(out, "{:.3}  [", support_count as f64 / db_len as f64)?;
+    for (i, &l) in g.labels().iter().enumerate() {
+        if i > 0 {
+            out.write_all(b", ")?;
+        }
+        match names.name(l) {
+            Some(name) => out.write_all(name.as_bytes())?,
+            None => write!(out, "{l}")?,
+        }
+    }
+    out.write_all(b"]  ")?;
+    for (i, e) in g.edges().iter().enumerate() {
+        if i > 0 {
+            out.write_all(b" ")?;
+        }
+        write!(out, "{}-{}({})", e.u, e.v, e.label)?;
+    }
+    out.write_all(b"\n")?;
     Ok(())
 }
 
@@ -978,6 +1004,29 @@ mod tests {
             ]);
             assert_eq!(code, 2, "{out}");
             assert!(out.contains("--threads"), "{out}");
+        }
+    }
+
+    #[test]
+    fn serve_rejects_counts_above_the_ceiling() {
+        // The counts are checked before the inputs are read, so the
+        // error names the flag, not the missing files, and no server is
+        // bound and no thread started.
+        let huge = (MAX_SERVE_COUNT + 1).to_string();
+        for flag in ["--workers", "--queue", "--max-connections"] {
+            for bad in [huge.as_str(), "18446744073709551615", "many"] {
+                let (code, out) = run_capture(&[
+                    "serve",
+                    "--taxonomy",
+                    "no-such-taxonomy",
+                    "--database",
+                    "no-such-database",
+                    flag,
+                    bad,
+                ]);
+                assert_eq!(code, 2, "{flag} {bad}: {out}");
+                assert!(out.contains(flag), "{flag} {bad}: {out}");
+            }
         }
     }
 
