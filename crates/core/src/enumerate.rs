@@ -175,23 +175,11 @@ impl Ctx<'_> {
 
 /// Enumerates every member of the pattern class rooted at `skeleton` (the
 /// class's most-general pattern, as mined from the relabeled database),
-/// calling `emit` for each frequent non-over-generalized member.
+/// calling `emit` for each frequent non-over-generalized member — and,
+/// with `keep_overgeneralized`, also for the patterns the minimality
+/// filter would drop.
 ///
 /// Returns the per-class enumeration counters.
-pub fn enumerate_class<F: FnMut(EmittedPattern<'_>)>(
-    skeleton: &LabeledGraph,
-    oi: &OccurrenceIndex,
-    taxonomy: &Taxonomy,
-    min_support: usize,
-    db_len: usize,
-    cfg: &Enhancements,
-    emit: F,
-) -> EnumerationStats {
-    enumerate_class_full(skeleton, oi, taxonomy, min_support, db_len, cfg, false, emit)
-}
-
-/// Like [`enumerate_class`], with `keep_overgeneralized` also emitting the
-/// patterns the minimality filter would drop.
 #[allow(clippy::too_many_arguments)]
 pub fn enumerate_class_full<F: FnMut(EmittedPattern<'_>)>(
     skeleton: &LabeledGraph,

@@ -52,10 +52,6 @@ pub struct MiningStats {
     pub peak_embedding_bytes: usize,
     /// Total occurrences (embeddings) across classes.
     pub occurrences: usize,
-    /// Wall-clock milliseconds spent building occurrence indices.
-    pub oi_build_ms: f64,
-    /// Wall-clock milliseconds spent enumerating specialized patterns.
-    pub enumerate_ms: f64,
     /// Step 3 counters summed over classes.
     pub enumeration: EnumerationStats,
     /// Backpressure steals: queued classes the pipelined engine's gSpan
@@ -100,8 +96,6 @@ impl MiningResult {
         s.occurrences += c.occurrences;
         s.oi_updates += c.oi_updates;
         s.peak_oi_bytes = s.peak_oi_bytes.max(c.peak_oi_bytes);
-        s.oi_build_ms += c.oi_build_ms;
-        s.enumerate_ms += c.enumerate_ms;
         s.enumeration.vectors_visited += c.enumeration.vectors_visited;
         s.enumeration.intersections += c.enumeration.intersections;
         s.enumeration.emitted += c.enumeration.emitted;
@@ -340,7 +334,6 @@ pub(crate) fn enumerate_class(
 ) -> ClassOutput {
     let mut out = ClassOutput::default();
     out.stats.occurrences = embeddings.len();
-    let t_oi = std::time::Instant::now();
     let oi = OccurrenceIndex::build_with_scratch(
         embeddings,
         &prepared.rel.originals,
@@ -353,7 +346,6 @@ pub(crate) fn enumerate_class(
         },
         oi_scratch,
     );
-    out.stats.oi_build_ms = t_oi.elapsed().as_secs_f64() * 1000.0;
     out.stats.oi_updates = oi.updates;
     let oi_bytes = oi.heap_bytes();
     out.stats.peak_oi_bytes = oi_bytes;
@@ -361,7 +353,6 @@ pub(crate) fn enumerate_class(
         g.add(oi_bytes);
     }
     let db_len = prepared.db_len;
-    let t_enum = std::time::Instant::now();
     let stats = crate::enumerate::enumerate_class_scratch(
         skeleton,
         &oi,
@@ -383,7 +374,6 @@ pub(crate) fn enumerate_class(
             });
         },
     );
-    out.stats.enumerate_ms = t_enum.elapsed().as_secs_f64() * 1000.0;
     out.stats.enumeration = stats;
     drop(oi);
     if let Some(g) = oi_gauge {

@@ -50,8 +50,7 @@
 //! admission in serial class order, and an early stop yields a truthful
 //! [`Termination`] whose finished classes form a byte-identical prefix
 //! of the serial pattern stream. Spill files are removed when the run
-//! ends — success, error, or early termination — unless
-//! [`ShardOptions::keep_spill`] asks otherwise.
+//! ends — success, error, or early termination.
 
 mod pass1;
 mod pass2;
@@ -91,8 +90,6 @@ pub struct ShardOptions {
     /// larger batches trade resident embedding memory for fewer passes
     /// over the spill files.
     pub class_batch: usize,
-    /// Keep the spill directory after the run instead of deleting it.
-    pub keep_spill: bool,
     /// Approximate ceiling on a single shard file's size: the shard
     /// count grows until the encoded database splits into files no
     /// larger than this, making the per-worker resident set independent
@@ -107,7 +104,6 @@ impl Default for ShardOptions {
             threads: 1,
             spill_dir: None,
             class_batch: 8,
-            keep_spill: false,
             resident_cap_bytes: None,
         }
     }
@@ -402,7 +398,7 @@ fn mine_impl(
         .spill_dir
         .clone()
         .unwrap_or_else(std::env::temp_dir);
-    let set = spill(db, taxonomy, &boundaries, &parent, options.keep_spill, faults)?;
+    let set = spill(db, taxonomy, &boundaries, &parent, faults)?;
     let mut shard_stats = ShardStats {
         shards: set.shard_count(),
         spilled_bytes: set.spilled_bytes,

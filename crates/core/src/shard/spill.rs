@@ -4,8 +4,7 @@
 //! prefixed binary file per shard ([`tsg_graph::binary`], the `TSGB`
 //! format), so each pass holds exactly one shard resident per worker.
 //! A [`SpillSet`] owns the files for the duration of the run and removes
-//! them on drop — on success, on error, and on early termination alike —
-//! unless the caller asked to keep them.
+//! them on drop — on success, on error, and on early termination alike.
 //!
 //! Vertex labels are validated against the input taxonomy *while
 //! spilling*, in global database order, so a bad label surfaces as the
@@ -41,14 +40,13 @@ pub(crate) fn shard_io(shard: usize, message: impl Into<String>) -> TaxogramErro
 
 /// The on-disk shard files of one sharded run. Owns a unique directory
 /// under the configured spill root; dropping the set deletes the
-/// directory unless `keep` was requested.
+/// directory.
 #[derive(Debug)]
 pub(crate) struct SpillSet {
     dir: PathBuf,
     files: Vec<PathBuf>,
     /// `[start, end)` global graph-id range of each shard, in shard order.
     ranges: Vec<(usize, usize)>,
-    keep: bool,
     /// Total bytes written across all shard files.
     pub spilled_bytes: u64,
     /// Size of the largest single shard file — the resident-set unit.
@@ -67,11 +65,9 @@ impl SpillSet {
 
 impl Drop for SpillSet {
     fn drop(&mut self) {
-        if !self.keep {
-            // Best-effort: a cleanup failure must not panic in a drop
-            // (possibly during unwinding from a mining error).
-            let _ = fs::remove_dir_all(&self.dir);
-        }
+        // Best-effort: a cleanup failure must not panic in a drop
+        // (possibly during unwinding from a mining error).
+        let _ = fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -86,7 +82,6 @@ pub(crate) fn spill(
     taxonomy: &Taxonomy,
     boundaries: &[(usize, usize)],
     parent: &Path,
-    keep: bool,
     faults: &ShardFaults,
 ) -> Result<SpillSet, TaxogramError> {
     let dir = parent.join(format!(
@@ -101,7 +96,6 @@ pub(crate) fn spill(
         dir,
         files: Vec::with_capacity(boundaries.len()),
         ranges: boundaries.to_vec(),
-        keep,
         spilled_bytes: 0,
         largest_shard_bytes: 0,
     };

@@ -36,7 +36,7 @@ pub use automorphism::{
 pub use candidates::{BatchedMatcher, CandidateCache};
 pub use matcher::{ExactMatcher, GeneralizedMatcher, LabelMatcher};
 pub use subiso::{
-    contains_subgraph, contains_subgraph_cached, count_embeddings, count_embeddings_cached,
-    enumerate_embeddings, enumerate_embeddings_cached, find_embedding, is_gen_iso, is_isomorphic,
-    support_count, Embedding,
+    contains_subgraph, contains_subgraph_cached, count_embeddings, enumerate_embeddings,
+    enumerate_embeddings_cached, find_embedding, is_gen_iso, is_isomorphic, support_count,
+    Embedding,
 };

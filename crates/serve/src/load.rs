@@ -4,8 +4,9 @@
 //! `requests_per_client` mine requests back-to-back, honoring shed
 //! backoff hints (capped, so a misbehaving server cannot stall the
 //! driver). Records per-request latency and response classification,
-//! and reduces them to the percentile summary the bench snapshot and
-//! the CI serve stage publish.
+//! and reduces them to a percentile summary. The `scripts/ci.sh` serve
+//! stage runs it as a smoke test; serve latency and throughput are
+//! measured by the benchmark's `serve-mix` workload (`taxobench/`).
 //!
 //! The driver is deliberately protocol-level — plain sockets and the
 //! serve crate's own JSON reader — so it measures exactly what a real

@@ -1,9 +1,9 @@
 //! The synthetic load driver against a live daemon: every request must
 //! come back as exactly one of ok / degraded / shed / typed error —
 //! never lost — and the drain afterwards must reclaim every worker and
-//! connection. This is the `scripts/ci.sh` serve-stage smoke; the bench
-//! snapshot records the same driver's latency percentiles and shed rate
-//! for trend tracking.
+//! connection. This is the `scripts/ci.sh` serve-stage smoke; serve
+//! latency percentiles are measured by the benchmark's `serve-mix`
+//! workload (`taxobench/`), not here.
 
 use std::time::Duration;
 use tsg_serve::{run_load, LoadOptions, ServeOptions, Server};

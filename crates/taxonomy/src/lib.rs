@@ -23,7 +23,6 @@ mod builder;
 pub mod io;
 mod reach;
 pub mod samples;
-pub mod similarity;
 #[allow(clippy::module_inception)]
 mod taxonomy;
 

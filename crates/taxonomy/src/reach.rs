@@ -20,9 +20,8 @@
 //! `is_ancestor` is O(1) on the tree path and O(|extra|) otherwise.
 //! Full closures ([`Closure`]) are materialized lazily by walking tree
 //! parent chains, and memoized per taxonomy in a bounded FIFO cache
-//! ([`ClosureMemo`]) keyed by concept — its clients (TAcGM, the
-//! reference miner, similarity) ask for the same few database labels
-//! over and over.
+//! ([`ClosureMemo`]) keyed by concept — its clients (TAcGM and the
+//! reference miner) ask for the same few database labels over and over.
 
 // tsg-lint: allow(index) — CSR offsets and interval labels are built consistent with the concept count, and traversals index only by ids the structure itself issued
 
@@ -31,7 +30,7 @@ use std::sync::{Arc, Mutex}; // tsg-lint: allow(facade) — crate layering: tsg-
 use tsg_graph::NodeLabel;
 
 /// Sentinel for "no tree parent / absent concept" in the u32 arrays.
-pub(crate) const NONE: u32 = u32::MAX;
+const NONE: u32 = u32::MAX;
 
 /// A lazily materialized, immutable closure (ancestor or descendant) set:
 /// sorted concept ids behind an `Arc`, so memo hits and clones are free.
@@ -93,25 +92,6 @@ impl Closure {
     /// The members as a sorted `Vec<usize>` (the old bitset debug shape).
     pub fn to_vec(&self) -> Vec<usize> {
         self.iter().collect()
-    }
-
-    /// Sorted-merge intersection with another closure.
-    pub fn intersection(&self, other: &Closure) -> Closure {
-        let (mut i, mut j) = (0, 0);
-        let (a, b) = (&self.ids, &other.ids);
-        let mut out = Vec::new();
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        Closure::from_sorted(out)
     }
 
     /// Heap bytes held by the id storage.
@@ -420,11 +400,6 @@ impl Reachability {
     }
 
     #[inline]
-    pub(crate) fn tree_parent(&self, v: usize) -> u32 {
-        self.tree_parent[v]
-    }
-
-    #[inline]
     pub(crate) fn tree_root(&self, v: usize) -> u32 {
         self.tree_root[v]
     }
@@ -503,10 +478,9 @@ impl Reachability {
 /// Bounded memo for materialized closures, shared behind `&Taxonomy`.
 ///
 /// Its remaining clients are TAcGM's candidate generation (ancestor
-/// closures of database labels), the brute-force reference miner, and
-/// the similarity measures' cross-link path through
-/// [`crate::Taxonomy::common_ancestors`]; Taxogram's label frequencies
-/// and occurrence-index build walk parent edges instead. Those clients
+/// closures of database labels) and the brute-force reference miner;
+/// Taxogram's label frequencies and occurrence-index build walk parent
+/// edges instead. Those clients
 /// ask for a few database labels over and over, so FIFO eviction over a
 /// byte budget suffices — the bound only has to keep a 10⁶-concept
 /// taxonomy from accumulating gigabytes of closures.

@@ -2,7 +2,7 @@
 
 // tsg-lint: allow(index) — closure, depth, and relation tables are all sized to the concept count, and concept ids are validated at the builder boundary
 
-use crate::reach::{Closure, ClosureMemo, Csr, Reachability, NONE};
+use crate::reach::{Closure, ClosureMemo, Csr, Reachability};
 use crate::TaxonomyError;
 use std::sync::atomic::{AtomicU64, Ordering}; // tsg-lint: allow(facade) — crate layering: tsg-taxonomy sits below the facade crate; the id counter is a process-wide ticket with no cross-thread protocol
 use tsg_bitset::BitSet;
@@ -301,39 +301,6 @@ impl Taxonomy {
         total as f64 / n as f64
     }
 
-    /// The common reflexive ancestors of `a` and `b` as a sorted
-    /// [`Closure`]. When both concepts are tree-covered this is the tree
-    /// chain above their lowest common ancestor (no materialized closures
-    /// touched); otherwise it is the sorted-merge intersection of the two
-    /// ancestor closures.
-    pub fn common_ancestors(&self, a: NodeLabel, b: NodeLabel) -> Closure {
-        if !self.contains(a) || !self.contains(b) {
-            return Closure::empty();
-        }
-        let (ai, bi) = (a.index(), b.index());
-        if self.reach.extra_of(ai).is_none() && self.reach.extra_of(bi).is_none() {
-            if self.reach.tree_root(ai) != self.reach.tree_root(bi) {
-                return Closure::empty();
-            }
-            let (mut x, mut y) = (ai, bi);
-            while self.reach.tree_depth(x) > self.reach.tree_depth(y) {
-                x = self.reach.tree_parent(x) as usize;
-            }
-            while self.reach.tree_depth(y) > self.reach.tree_depth(x) {
-                y = self.reach.tree_parent(y) as usize;
-            }
-            while x != y {
-                x = self.reach.tree_parent(x) as usize;
-                y = self.reach.tree_parent(y) as usize;
-            }
-            debug_assert_ne!(x as u32, NONE);
-            // The LCA of extra-free concepts is itself extra-free, so its
-            // ancestor closure is exactly the tree chain.
-            return Closure::from_sorted(self.reach.ancestors_of(x));
-        }
-        self.ancestors(a).intersection(&self.ancestors(b))
-    }
-
     /// The most general ancestors of `l`: the roots in its ancestor
     /// closure. Each ancestor chain ends at exactly one forest root, so
     /// this is the deduplicated set of tree roots over `l` and its extra
@@ -600,21 +567,6 @@ mod tests {
         assert_eq!(t.descendants(l(1)).to_vec(), vec![1, 3]);
         assert_eq!(t.descendants(l(2)).to_vec(), vec![2, 3]);
         assert_eq!(t.ancestors(l(3)).to_vec(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn common_ancestors_tree_and_dag_paths() {
-        let t = tree();
-        assert_eq!(t.common_ancestors(l(3), l(4)).to_vec(), vec![0, 1]);
-        assert_eq!(t.common_ancestors(l(3), l(5)).to_vec(), vec![0]);
-        assert_eq!(t.common_ancestors(l(3), l(3)).to_vec(), vec![0, 1, 3]);
-        // Multi-root: no shared root means no common ancestors.
-        let two = taxonomy_from_edges(4, [(2, 0), (3, 1)]).unwrap();
-        assert!(two.common_ancestors(l(2), l(3)).is_empty());
-        // DAG path: diamond 0->1->3, 0->2->3.
-        let d = taxonomy_from_edges(4, [(1, 0), (2, 0), (3, 1), (3, 2)]).unwrap();
-        assert_eq!(d.common_ancestors(l(1), l(3)).to_vec(), vec![0, 1]);
-        assert_eq!(d.common_ancestors(l(1), l(2)).to_vec(), vec![0]);
     }
 
     #[test]

@@ -324,3 +324,10 @@ if rustup toolchain list 2>/dev/null | grep -q nightly \
 else
     echo "!! SKIPPED: tsan stage (needs a nightly toolchain with rust-src for -Zbuild-std)" >&2
 fi
+
+# Informational, not a gate: non-blank Rust lines per workspace crate,
+# split into src and tests/benches/examples. Lines of code are tracked
+# per crate like a perf metric; a change records this table for its
+# parent and for itself.
+echo "== lines of code per crate (informational) =="
+scripts/loc.sh

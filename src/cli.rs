@@ -1,11 +1,12 @@
 //! The `taxogram` command-line interface.
 //!
-//! Three subcommands, all file-driven (formats documented in
+//! Four subcommands, all file-driven (formats documented in
 //! [`tsg_graph::io`] and [`tsg_taxonomy::io`]):
 //!
 //! ```text
 //! taxogram mine --taxonomy t.txt --database d.txt --support 0.2
 //!               [--max-edges N] [--baseline true] [--algorithm taxogram|tacgm]
+//! taxogram serve --taxonomy t.txt --database d.txt [--addr HOST:PORT]
 //! taxogram stats --database d.txt
 //! taxogram generate --dataset D1000 --scale 0.05 --out DIR
 //! ```
@@ -51,7 +52,8 @@ impl Args {
     /// Parses raw arguments (without the program name).
     ///
     /// # Errors
-    /// Fails on a missing subcommand or a flag without a value.
+    /// Fails on a missing subcommand, a flag without a value, or a flag
+    /// given twice, rather than letting one of its values silently win.
     pub fn parse(raw: &[String]) -> Result<Args, CliError> {
         let subcommand = raw
             .first()
@@ -66,6 +68,9 @@ impl Args {
             let value = raw
                 .get(i + 1)
                 .ok_or_else(|| err(format!("--{name} needs a value")))?;
+            if flags.iter().any(|(n, _)| n == name) {
+                return Err(err(format!("--{name} given twice")));
+            }
             flags.push((name.to_owned(), value.clone()));
             i += 2;
         }
@@ -142,7 +147,8 @@ pub const USAGE: &str = "usage: taxogram <mine|serve|stats|generate> [flags]
             [--time-limit SECONDS] [--memory-limit BYTES[K|M|G]]
             [--max-patterns N]   (budgeted runs report '# termination:')
   serve     --taxonomy FILE --database FILE [--addr HOST:PORT]
-            [--workers N] [--queue N] [--max-connections N] [--cache N]
+            [--workers N] [--queue N] [--max-connections N]
+            [--cache N]   (cached results; 0 disables the cache)
             [--max-time-limit SECONDS] [--default-time-limit SECONDS]
             [--port-file PATH] [--max-runtime-ms N]
             (resident mining daemon, JSON lines over TCP; stop with a
@@ -476,14 +482,6 @@ fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     opts.max_connections = capped_count("max-connections", opts.max_connections)?.max(1);
     let (_names, taxonomy, db) = load_inputs(args)?;
     let (graphs, concepts) = (db.len(), taxonomy.concept_count());
-    let parse_count = |name: &str, dflt: usize| -> Result<usize, CliError> {
-        match args.get(name) {
-            Some(s) => s
-                .parse()
-                .map_err(|_| err(format!("--{name} must be a positive integer"))),
-            None => Ok(dflt),
-        }
-    };
     let parse_secs = |name: &str| -> Result<Option<std::time::Duration>, CliError> {
         match args.get(name) {
             Some(s) => s
@@ -495,7 +493,11 @@ fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             None => Ok(None),
         }
     };
-    opts.cache_entries = parse_count("cache", opts.cache_entries)?;
+    if let Some(s) = args.get("cache") {
+        opts.cache_entries = s
+            .parse()
+            .map_err(|_| err("--cache must be a non-negative integer (0 disables the cache)"))?;
+    }
     if let Some(d) = parse_secs("max-time-limit")? {
         opts.max_time_limit = d;
     }
@@ -656,30 +658,21 @@ fn generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// Parses a Table 1 dataset id like `D1000`, `NC20`, `ED09`, `TD8`,
-/// `TS400`, `PTE`.
+/// `TS400`, `PTE`: exactly the ids of [`tsg_datagen::registry::table1_ids`]
+/// under their printed names, so no id reaches the generator outside the
+/// parameter ranges it builds.
 pub fn parse_dataset_id(s: &str) -> Result<tsg_datagen::registry::DatasetId, CliError> {
-    use tsg_datagen::registry::DatasetId;
-    let bad = || err(format!("unknown dataset id {s:?} (see Table 1: D1000…D5000, NC10…NC40, ED06…ED11, TD5…TD15, TS25…TS3200, PTE)"));
-    if s == "PTE" {
-        return Ok(DatasetId::PTE);
+    let ids = tsg_datagen::registry::table1_ids();
+    match ids.iter().find(|id| id.to_string() == s) {
+        Some(&id) => Ok(id),
+        None => {
+            let names: Vec<String> = ids.iter().map(ToString::to_string).collect();
+            Err(err(format!(
+                "unknown dataset id {s:?} (Table 1: {})",
+                names.join(" ")
+            )))
+        }
     }
-    if let Some(rest) = s.strip_prefix("NC") {
-        return rest.parse().map(DatasetId::NC).map_err(|_| bad());
-    }
-    if let Some(rest) = s.strip_prefix("ED") {
-        let pct: u32 = rest.parse().map_err(|_| bad())?;
-        return Ok(DatasetId::ED(pct as f64 / 100.0));
-    }
-    if let Some(rest) = s.strip_prefix("TD") {
-        return rest.parse().map(DatasetId::TD).map_err(|_| bad());
-    }
-    if let Some(rest) = s.strip_prefix("TS") {
-        return rest.parse().map(DatasetId::TS).map_err(|_| bad());
-    }
-    if let Some(rest) = s.strip_prefix("D") {
-        return rest.parse().map(DatasetId::D).map_err(|_| bad());
-    }
-    Err(bad())
 }
 
 #[cfg(test)]
@@ -727,6 +720,28 @@ mod tests {
         assert_eq!(parse_dataset_id("PTE").unwrap(), DatasetId::PTE);
         assert!(parse_dataset_id("X9").is_err());
         assert!(parse_dataset_id("Dxx").is_err());
+    }
+
+    #[test]
+    fn generate_rejects_ids_outside_table_1() {
+        // One id per family outside Table 1's rows; `registry::build`
+        // asserts its parameter ranges, so none of these may reach it.
+        for id in ["D99", "D1500", "NC15", "ED50", "TD16", "TS30", "PTE2"] {
+            let dir = std::env::temp_dir()
+                .join(format!("taxogram-cli-bad-id-{}-{id}", std::process::id()));
+            let dirs = dir.to_string_lossy().to_string();
+            let (code, out) = run_capture(&["generate", "--dataset", id, "--out", &dirs]);
+            assert_eq!(code, 2, "{id}: {out}");
+            assert!(out.contains("unknown dataset id"), "{id}: {out}");
+            assert!(!dir.exists(), "{id} created {}", dir.display());
+        }
+    }
+
+    #[test]
+    fn repeated_flag_fails() {
+        let (code, out) = run_capture(&["mine", "--support", "0.3", "--support", "0.9"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("--support given twice"), "{out}");
     }
 
     #[test]
