@@ -23,9 +23,9 @@
 //! once per pattern class, before any Step 3 work for that class starts:
 //! the serial and pipelined engines at their
 //! [`PatternSink::report`](tsg_gspan::PatternSink::report) call, the
-//! sharded miner before each Pass 2b class. A rejected admission makes
+//! sharded miner before each Pass 2 class. A rejected admission makes
 //! the sink return [`Grow::Stop`](tsg_gspan::Grow::Stop), which unwinds
-//! the gSpan search, or ends the sharded miner's Pass 2b loop.
+//! the gSpan search, or ends the sharded miner's Pass 2 loop.
 //! Classes already admitted are always finished — budgets never tear a
 //! class in half — so an early stop can overshoot each budget by at most
 //! the classes in flight (1 for the serial engines, ≤ threads + channel
@@ -424,7 +424,7 @@ impl Governor {
         false
     }
 
-    /// Class-boundary poll, run by the sharded miner's Pass 2b after each
+    /// Class-boundary poll, run by the sharded miner's Pass 2 after each
     /// enumerated class: the [`Self::should_stop`] conditions plus the
     /// pattern ceiling, so a crossed ceiling ends the run before another
     /// batch of shard reads starts. Safe at class boundaries only —

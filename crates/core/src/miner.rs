@@ -33,9 +33,9 @@ pub struct MiningStats {
     /// Pattern classes mined from the relabeled database (Step 2).
     pub classes: usize,
     /// Step 2's extension counters: keys counted, dropped as infrequent
-    /// or non-minimal, and embeddings grown. Identical for the serial and
-    /// pipelined engines; zero for the sharded miner, whose Pass 1 mines
-    /// shards rather than the database.
+    /// or non-minimal, and embeddings grown. Identical for the serial,
+    /// pipelined and sharded engines (the sharded one sums each key's
+    /// count over the shards).
     pub gspan: GSpanStats,
     /// Occurrence-index update operations (Lemma 5's cost unit).
     pub oi_updates: usize,

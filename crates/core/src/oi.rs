@@ -328,7 +328,7 @@ impl OccurrenceIndex {
     ///
     /// # Panics
     /// Panics if `embeddings` are not in ascending graph-id order — the
-    /// order gSpan and the sharded miner's Pass 2b both produce, and the
+    /// order gSpan and the sharded miner's Pass 2 both produce, and the
     /// one Step 3's support count relies on — and if `options.frequent`
     /// admits a label with a pruned ancestor that some occurrence
     /// reaches: generalized frequency is antitone along is-a, so a mask
@@ -372,7 +372,7 @@ impl OccurrenceIndex {
         let mut prev = None;
         for (occ, &gid) in occ_graph.iter().enumerate() {
             if prev.is_some_and(|p| p > gid) {
-                panic!("class embeddings out of ascending graph-id order"); // tsg-lint: allow(panic) — internal invariant: gSpan and Pass 2b both emit a class's embeddings by ascending graph id; a break would silently corrupt supports
+                panic!("class embeddings out of ascending graph-id order"); // tsg-lint: allow(panic) — internal invariant: gSpan and Pass 2 both emit a class's embeddings by ascending graph id; a break would silently corrupt supports
             }
             if prev != Some(gid) {
                 graph_starts.insert(occ);

@@ -1,9 +1,7 @@
-//! Parallel out-of-core sharded mining — the industrialized SON path
-//! (DESIGN.md §15).
+//! Parallel out-of-core sharded mining (DESIGN.md §15).
 //!
-//! The SON two-pass partition algorithm (Savasere, Omiecinski and
-//! Navathe, VLDB'95), made exact for taxonomy-superimposed patterns and
-//! run out of core:
+//! The database is spilled to disk and mined in streaming passes over
+//! the shard files, each worker holding one shard resident at a time:
 //!
 //! 1. **Spill.** The database is split into contiguous graph-id ranges
 //!    and written to disk as length-prefixed binary shard files
@@ -11,34 +9,25 @@
 //!    the way. [`ShardOptions::resident_cap_bytes`] raises the shard
 //!    count until each file fits the cap, so the resident working set is
 //!    one shard per worker regardless of database size.
-//! 2. **Pass 1 — local class discovery** (`pass1`): workers claim
-//!    shards from a shared counter, each reading its shard back,
-//!    relabeling it, and mining locally frequent pattern *classes* with
-//!    the serial gSpan search. Each (canonical DFS code,
-//!    skeleton) pair survives with its local support, and each shard
-//!    reports its local floor `⌈θ·nᵢ⌉`; by the SON pigeonhole the union
-//!    of the classes is a complete candidate superset of the globally
-//!    frequent classes.
-//! 3. **Pass 2a — exact global supports** (`pass2`): first, with no
-//!    shard read, the partition bound drops every candidate whose known
-//!    local supports plus `⌈θ·nᵢ⌉ − 1` for each unreporting shard cannot
-//!    reach the global floor. The shards are then streamed again and
-//!    each survivor is recounted only in the shards where its support is
-//!    unknown, by re-growing its embeddings along its minimal DFS code
-//!    ([`tsg_gspan::walk_codes`]); per-shard counts sum to exactly the
-//!    serial engine's class supports.
-//! 4. **Pass 2b — global Step 3**: each globally frequent class, taken
-//!    in canonical (= serial) order in batches of
+//! 2. **Pass 1 — Step 2's class search, one edge level per stream**
+//!    (`levels`): the first stream sums every shard's seed-key counts,
+//!    and each later one walks the current level's codes in every
+//!    relabeled shard ([`tsg_gspan::walk_codes`]) and sums their
+//!    extension counts ([`tsg_gspan::count_extensions`]) over the
+//!    shards. The sums are whole-database distinct-graph counts, so a
+//!    child is kept exactly when serial gSpan keeps it: its count reaches
+//!    the global floor `⌈θ·|D|⌉` and its code is minimal. The loop stops
+//!    at an empty level or at the edge cap. No shard is ever judged on
+//!    its own, so the kept codes are the serial engine's classes and the
+//!    summed counts its Step 2 counters ([`crate::MiningStats::gspan`]).
+//! 3. **Pass 2 — global Step 3** (`pass2`): each class, taken in
+//!    canonical (= serial) order in batches of
 //!    [`ShardOptions::class_batch`], has its embeddings re-grown along
 //!    its code over the shard stream — the serial gSpan lists, shard by
 //!    shard — and is then enumerated by the class path of
-//!    [`crate::Taxogram::mine`] against the global database
-//!    size — so specialization supports, the minimality filter, and the
-//!    emission order are *byte-identical* to the single-pass serial
-//!    miner. (This sidesteps the locally-over-generalized corner of
-//!    partitioned mining entirely: a pattern can be over-generalized in
-//!    every shard yet globally minimal, so class membership is re-derived
-//!    globally, never reconstructed from local verdicts.)
+//!    [`crate::Taxogram::mine`] against the global database size, so
+//!    specialization supports, the minimality filter and the emission
+//!    order are *byte-identical* to the single-pass serial miner.
 //!
 //! The taxonomy is unified ([`Taxonomy::unify_most_general`]) once per
 //! run, before Pass 1: unification does not depend on the database, so
@@ -46,13 +35,13 @@
 //! Step 3 uses it too.
 //!
 //! Governance threads through end to end: the cancel token and deadline
-//! are polled at every shard claim, budgets gate each Pass 2b class
+//! are polled at every shard claim, budgets gate each Pass 2 class
 //! admission in serial class order, and an early stop yields a truthful
 //! [`Termination`] whose finished classes form a byte-identical prefix
 //! of the serial pattern stream. Spill files are removed when the run
 //! ends — success, error, or early termination.
 
-mod pass1;
+mod levels;
 mod pass2;
 mod spill;
 
@@ -70,7 +59,7 @@ use crate::sync::{thread, Arc, AtomicBool, AtomicUsize, Mutex, Ordering};
 use spill::{read_shard, spill, SpillSet};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use tsg_gspan::DfsCode;
+use tsg_gspan::{DfsCode, GSpanStats};
 use tsg_graph::{GraphDatabase, LabeledGraph};
 use tsg_taxonomy::Taxonomy;
 
@@ -86,7 +75,7 @@ pub struct ShardOptions {
     /// Directory for spill files; defaults to the system temp dir. A
     /// unique per-run subdirectory is always created beneath it.
     pub spill_dir: Option<PathBuf>,
-    /// Pass 2b classes whose embeddings are collected per shard stream;
+    /// Pass 2 classes whose embeddings are collected per shard stream;
     /// larger batches trade resident embedding memory for fewer passes
     /// over the spill files.
     pub class_batch: usize,
@@ -130,23 +119,18 @@ pub struct ShardFaults {
 pub struct ShardStats {
     /// Shards the database was split into (after the resident-cap raise).
     pub shards: usize,
-    /// Candidate classes after Pass 1 (union of local frequent sets).
+    /// Extension keys Pass 1 counted: Step 2's `keys_counted`
+    /// ([`crate::MiningStats::gspan`]).
     pub candidates: usize,
-    /// Candidates found globally infrequent: those the partition bound
-    /// dropped plus those Pass 2a's exact supports rejected.
+    /// Counted keys whose summed count missed the global floor: Step 2's
+    /// `infrequent`.
     pub globally_infrequent: usize,
-    /// Candidates the partition bound dropped before Pass 2a, without any
-    /// recount (a subset of `globally_infrequent`).
-    pub bound_pruned: usize,
-    /// Candidate × shard support counts Pass 2a actually ran: each
-    /// survivor is recounted only in shards where Pass 1 did not report it.
-    pub recounts: usize,
     /// Total bytes written to spill files.
     pub spilled_bytes: u64,
     /// Largest single shard file — the per-worker resident-set unit.
     pub largest_shard_bytes: u64,
-    /// Full streaming passes over the shard files (Pass 1 + Pass 2a +
-    /// one per Pass 2b class batch).
+    /// Full streaming passes over the shard files: one per Pass 1 edge
+    /// level and one per Pass 2 class batch.
     pub db_streams: usize,
 }
 
@@ -181,7 +165,7 @@ pub fn mine_sharded(
 }
 
 /// [`mine_sharded`] under governance: budgets and cancellation gate
-/// Pass 2b class admission in serial class order, and shard claims poll
+/// Pass 2 class admission in serial class order, and shard claims poll
 /// the cancel token and deadline, so an early stop yields a sound
 /// serial-prefix partial result.
 ///
@@ -237,9 +221,8 @@ fn plan_shards(db: &GraphDatabase, options: &ShardOptions) -> Vec<(usize, usize)
     // first record whose running prefix reaches k/shards of the total —
     // each shard's byte weight lands within one record of total/shards,
     // which is the best any contiguous split can do. Shard-count
-    // invariance (metamorphic relation 9) is untouched: pass 2b
-    // re-derives global supports from the union of local candidates for
-    // *any* contiguous partition.
+    // invariance (metamorphic relation 9) is untouched: per-shard counts
+    // sum to the global ones over *any* contiguous partition.
     let shards = shards.min(db.len().max(1)) as u64;
     let mut boundaries = Vec::with_capacity(shards as usize);
     let mut prefix = 0u64;
@@ -355,26 +338,6 @@ fn scan_shards<T: Send>(
     Ok((slots, stopped))
 }
 
-/// A governance stop during Pass 1 or Pass 2a: nothing finished, so the
-/// sound serial prefix is empty. The abandoned count is at least 1 (the
-/// run lost work) and the frontier lists the candidate codes known so
-/// far.
-fn early_stop<'a>(
-    governor: &Governor,
-    codes: impl Iterator<Item = &'a DfsCode>,
-    known: usize,
-    min_support: usize,
-    db_len: usize,
-    shard_stats: ShardStats,
-) -> ShardedOutcome {
-    let frontier: Vec<String> = codes.take(FRONTIER_CAP).map(|c| c.to_string()).collect();
-    ShardedOutcome {
-        result: MiningResult::empty(min_support, db_len),
-        termination: governor.finish(0, known.max(1), frontier),
-        shard_stats,
-    }
-}
-
 fn mine_impl(
     config: &TaxogramConfig,
     db: &GraphDatabase,
@@ -409,82 +372,65 @@ fn mine_impl(
     // Unification does not depend on the database: one per run, shared by
     // every shard read of every pass and by Step 3.
     let unified = Arc::new(taxonomy.unify_most_general());
+    // A governance stop during Pass 1: nothing finished, so the sound
+    // serial prefix is empty. The abandoned count is at least 1 (the run
+    // lost work) and the frontier lists the class codes known so far.
+    let early_stop = |mut known: Vec<DfsCode>, shard_stats| {
+        known.sort_by(DfsCode::cmp_code);
+        let frontier = known.iter().take(FRONTIER_CAP).map(|c| c.to_string());
+        Ok(ShardedOutcome {
+            result: MiningResult::empty(min_support, db_len),
+            termination: governor.finish(0, known.len().max(1), frontier.collect()),
+            shard_stats,
+        })
+    };
 
-    // Pass 1: local class discovery, one resident shard per worker.
+    // Pass 1, level 0: seed-key counts and label frequencies.
     let (slots, stopped) = scan_shards(&set, threads, governor, |_, shard_db| {
-        pass1::mine_shard(shard_db, &unified, config)
+        levels::count_seeds(shard_db, &unified)
     })?;
     shard_stats.db_streams += 1;
     if stopped {
-        let partial = pass1::merge_candidates(
-            slots
-                .into_iter()
-                .map(|s| s.map(|s| s.classes).unwrap_or_default())
-                .collect(),
-        );
-        shard_stats.candidates = partial.len();
-        return Ok(early_stop(
-            governor,
-            partial.iter().map(|c| &c.code),
-            partial.len(),
-            min_support,
-            db_len,
-            shard_stats,
-        ));
+        return early_stop(Vec::new(), shard_stats);
     }
-    let mut freq_sums: Vec<usize> = Vec::new();
-    let mut local_mins = Vec::with_capacity(set.shard_count());
-    let mut per_shard_classes = Vec::with_capacity(set.shard_count());
-    for slot in slots {
-        let s = slot.expect("unstopped scan fills every slot"); // tsg-lint: allow(panic) — unstopped scan fills every slot; stop was checked above
-        if freq_sums.len() < s.label_frequencies.len() {
-            freq_sums.resize(s.label_frequencies.len(), 0);
-        }
-        for (acc, f) in freq_sums.iter_mut().zip(&s.label_frequencies) {
+    let mut freq_sums = vec![0; unified.concept_count()];
+    let mut seeds = Vec::with_capacity(slots.len());
+    for (shard_seeds, label_frequencies) in slots.into_iter().flatten() {
+        for (acc, f) in freq_sums.iter_mut().zip(label_frequencies) {
             *acc += f;
         }
-        local_mins.push(s.local_min);
-        per_shard_classes.push(s.classes);
+        seeds.push(shard_seeds);
     }
-    let candidates = pass1::merge_candidates(per_shard_classes);
-    shard_stats.candidates = candidates.len();
+    // Seeds are not extensions: serial gSpan counts none of them in
+    // Step 2's counters, so neither does this throwaway.
+    let root = [DfsCode::new()];
+    let mut level = levels::next_level(&root, seeds, min_support, &mut GSpanStats::default());
 
-    // The partition bound drops candidates that cannot reach the global
-    // floor before any shard is read again.
-    let (survivors, pruned) = pass2::bound_prune(candidates, &local_mins, min_support);
-    shard_stats.bound_pruned = pruned.len();
-    drop(pruned);
-
-    // Pass 2a: exact global supports of the survivors across a second
-    // shard stream, recounting only where Pass 1 left them unknown.
-    let (slots, stopped) = scan_shards(&set, threads, governor, |shard, shard_db| {
-        pass2::shard_supports(shard_db, &unified, &survivors, shard)
-    })?;
-    shard_stats.db_streams += 1;
-    if stopped {
-        return Ok(early_stop(
-            governor,
-            survivors.iter().map(|c| &c.code),
-            shard_stats.candidates,
-            min_support,
-            db_len,
-            shard_stats,
-        ));
-    }
-    let mut supports = vec![0usize; survivors.len()];
-    for (shard_counts, recounts) in slots.into_iter().flatten() {
-        shard_stats.recounts += recounts;
-        for (acc, c) in supports.iter_mut().zip(&shard_counts) {
-            *acc += c;
+    // Pass 1, level k: one stream per level of k-edge codes, until a
+    // level is empty or reaches the edge cap.
+    let mut gspan = GSpanStats::default();
+    let mut classes: Vec<DfsCode> = Vec::new();
+    while level
+        .first()
+        .is_some_and(|c| config.max_edges.is_none_or(|m| c.len() < m))
+    {
+        let (slots, stopped) = scan_shards(&set, threads, governor, |_, shard_db| {
+            levels::count_level(shard_db, &unified, &level)
+        })?;
+        shard_stats.db_streams += 1;
+        if stopped {
+            classes.append(&mut level);
+            return early_stop(classes, shard_stats);
         }
+        let next = levels::next_level(&level, slots.into_iter().flatten(), min_support, &mut gspan);
+        classes.append(&mut level);
+        level = next;
     }
-    let frequent: Vec<pass1::Candidate> = survivors
-        .into_iter()
-        .zip(&supports)
-        .filter(|&(_, &sup)| sup >= min_support)
-        .map(|(cand, _)| cand)
-        .collect();
-    shard_stats.globally_infrequent = shard_stats.candidates - frequent.len();
+    classes.append(&mut level);
+    // Serial gSpan reports its classes in canonical pre-order.
+    classes.sort_by(DfsCode::cmp_code);
+    shard_stats.candidates = gspan.keys_counted;
+    shard_stats.globally_infrequent = gspan.infrequent;
 
     // Step 3 scaffold on *global* data: the unified taxonomy, the summed
     // frequent-label mask, and an originals table filled lazily per batch
@@ -503,14 +449,14 @@ fn mine_impl(
         db_len,
     };
 
-    // Pass 2b: batched global re-enumeration in canonical class order.
+    // Pass 2: batched global re-enumeration in canonical class order.
     let emb_gauge = MemoryGauge::new();
     let oi_gauge = MemoryGauge::new();
     let mut enum_scratch = EnumScratch::new();
     let mut oi_scratch = OiScratch::new();
     let mut result = MiningResult::empty(min_support, db_len);
     let batch_size = options.class_batch.max(1);
-    'batches: for batch in frequent.chunks(batch_size) {
+    'batches: for batch in classes.chunks(batch_size) {
         let (slots, stopped) = scan_shards(&set, threads, governor, |shard, shard_db| {
             pass2::collect_shard_embeddings(shard_db, &unified, batch, set.range(shard).0)
         })?;
@@ -518,8 +464,7 @@ fn mine_impl(
         if stopped {
             break 'batches;
         }
-        let mut per_class: Vec<Vec<tsg_gspan::Embedding>> =
-            (0..batch.len()).map(|_| Vec::new()).collect();
+        let mut per_class: Vec<Vec<tsg_gspan::Embedding>> = vec![Vec::new(); batch.len()];
         for slot in slots {
             let shard_out = slot.expect("unstopped scan fills every slot"); // tsg-lint: allow(panic) — unstopped scan fills every slot; stop was checked above
             for (gid, labels) in shard_out.originals {
@@ -531,7 +476,11 @@ fn mine_impl(
                 acc.extend(embeddings);
             }
         }
-        for (class, embeddings) in batch.iter().zip(per_class) {
+        for (code, embeddings) in batch.iter().zip(per_class) {
+            // Serial gSpan grows every class but the seeds from its parent.
+            if code.len() > 1 {
+                gspan.embeddings_grown += embeddings.len();
+            }
             let emb_bytes = tsg_gspan::embedding_list_bytes(&embeddings);
             emb_gauge.add(emb_bytes);
             // Admission in serial class order — the same gate, in the
@@ -541,8 +490,9 @@ fn mine_impl(
                 emb_gauge.sub(emb_bytes);
                 break 'batches;
             }
+            let skeleton = code.to_graph().expect("mined codes denote valid graphs"); // tsg-lint: allow(panic) — codes grown edge by edge from database edges denote valid graphs
             let out = enumerate_class(
-                &class.skeleton,
+                &skeleton,
                 &embeddings,
                 &prepared,
                 config,
@@ -561,13 +511,14 @@ fn mine_impl(
     }
 
     let finished = result.stats.classes;
-    let abandoned = frequent.len() - finished;
-    let frontier: Vec<String> = frequent[finished..] // tsg-lint: allow(index) — finished <= frequent.len() by take_while
+    let abandoned = classes.len() - finished;
+    let frontier: Vec<String> = classes[finished..] // tsg-lint: allow(index) — finished <= classes.len(): one class finishes per admitted code
         .iter()
         .take(FRONTIER_CAP)
-        .map(|c| c.code.to_string())
+        .map(|c| c.to_string())
         .collect();
     let termination = governor.finish(finished, abandoned, frontier);
+    result.stats.gspan = gspan;
     result.stats.peak_oi_bytes = oi_gauge.peak();
     result.stats.peak_embedding_bytes = emb_gauge.peak();
     Ok(ShardedOutcome {
@@ -591,39 +542,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_matches_serial_exactly() {
-        let (c, t) = samples::sample_taxonomy();
-        let db = samples::figure_1_4_database(&c);
-        for theta in [1.0, 2.0 / 3.0, 1.0 / 3.0] {
-            let cfg = TaxogramConfig::with_threshold(theta);
-            let serial = Taxogram::new(cfg).mine(&db, &t).unwrap();
-            for shards in [1, 2, 3, 8] {
-                for threads in [1, 4] {
-                    let sharded = mine_sharded(&cfg, &db, &t, &options(shards, threads)).unwrap();
-                    assert!(sharded.termination.is_complete());
-                    assert_eq!(serial.patterns.len(), sharded.result.patterns.len());
-                    for (a, b) in serial.patterns.iter().zip(&sharded.result.patterns) {
-                        assert_eq!(a.graph.labels(), b.graph.labels());
-                        assert_eq!(a.graph.edges(), b.graph.edges());
-                        assert_eq!(a.support_count, b.support_count);
-                    }
-                    assert_eq!(serial.stats.classes, sharded.result.stats.classes);
-                }
-            }
-        }
-    }
-
-    /// Mines sharded and serially, asserts byte-identical pattern
-    /// streams, and returns the sharding counters.
-    fn sharded_stats(
+    /// Mines serially and sharded, and asserts the sharded run complete
+    /// with the serial pattern stream, class count and Step 2 counters.
+    fn assert_matches_serial(
         cfg: &TaxogramConfig,
         db: &GraphDatabase,
         t: &Taxonomy,
-        shards: usize,
-    ) -> ShardStats {
+        opts: &ShardOptions,
+    ) -> ShardedOutcome {
         let serial = Taxogram::new(*cfg).mine(db, t).unwrap();
-        let sharded = mine_sharded(cfg, db, t, &options(shards, 2)).unwrap();
+        let sharded = mine_sharded(cfg, db, t, opts).unwrap();
         assert!(sharded.termination.is_complete());
         assert_eq!(serial.patterns.len(), sharded.result.patterns.len());
         for (a, b) in serial.patterns.iter().zip(&sharded.result.patterns) {
@@ -631,17 +559,35 @@ mod tests {
             assert_eq!(a.graph.edges(), b.graph.edges());
             assert_eq!(a.support_count, b.support_count);
         }
-        sharded.shard_stats
+        assert_eq!(serial.stats.classes, sharded.result.stats.classes);
+        assert_eq!(serial.stats.gspan, sharded.result.stats.gspan);
+        sharded
     }
 
-    /// Four vertices labeled 0, 1, 2, 2 in two components: the edge 0—1
-    /// (edge label 0) and the edge 2—2 with edge label `l`. Every such
-    /// graph encodes to the same size, so shard plans split them evenly.
+    #[test]
+    fn sharded_matches_serial_exactly() {
+        let (c, t) = samples::sample_taxonomy();
+        let db = samples::figure_1_4_database(&c);
+        for theta in [1.0, 2.0 / 3.0, 1.0 / 3.0] {
+            let cfg = TaxogramConfig::with_threshold(theta);
+            for shards in [1, 2, 3, 8] {
+                for threads in [1, 4] {
+                    assert_matches_serial(&cfg, &db, &t, &options(shards, threads));
+                }
+            }
+        }
+    }
+
+    /// Five vertices labeled 0, 1, 2, 2, 3 in two components: the edge
+    /// 0—1 (edge label 0) and the path 2—2—3 whose 2—2 edge has label
+    /// `l`. Every such graph encodes to the same size, so shard plans
+    /// split them evenly.
     fn two_component_graph(l: u32) -> LabeledGraph {
         use tsg_graph::{EdgeLabel, NodeLabel};
-        let mut g = LabeledGraph::with_nodes([0, 1, 2, 2].map(NodeLabel));
+        let mut g = LabeledGraph::with_nodes([0, 1, 2, 2, 3].map(NodeLabel));
         g.add_edge(0, 1, EdgeLabel(0)).unwrap();
         g.add_edge(2, 3, EdgeLabel(l)).unwrap();
+        g.add_edge(3, 4, EdgeLabel(0)).unwrap();
         g
     }
 
@@ -651,203 +597,49 @@ mod tests {
     }
 
     fn flat_taxonomy() -> Taxonomy {
-        tsg_taxonomy::taxonomy_from_edges(3, std::iter::empty()).unwrap()
-    }
-
-    /// In-memory copies of the planned shards.
-    fn planned_shards(db: &GraphDatabase, shards: usize) -> Vec<GraphDatabase> {
-        plan_shards(db, &options(shards, 1))
-            .into_iter()
-            .map(|(lo, hi)| GraphDatabase::from_graphs(db.graphs()[lo..hi].to_vec()))
-            .collect()
-    }
-
-    /// Pass 1 and the bound on in-memory copies of the planned shards:
-    /// returns the surviving and the pruned candidates plus the global
-    /// floor.
-    fn pass1_and_bound(
-        cfg: &TaxogramConfig,
-        db: &GraphDatabase,
-        t: &Taxonomy,
-        shards: usize,
-    ) -> (Vec<pass1::Candidate>, Vec<pass1::Candidate>, usize) {
-        let unified = Arc::new(t.unify_most_general());
-        let mut local_mins = Vec::new();
-        let mut per_shard = Vec::new();
-        for shard_db in planned_shards(db, shards) {
-            let s = pass1::mine_shard(shard_db, &unified, cfg);
-            local_mins.push(s.local_min);
-            per_shard.push(s.classes);
-        }
-        let min_support = db.min_support_count(cfg.threshold);
-        let candidates = pass1::merge_candidates(per_shard);
-        let (survivors, pruned) = pass2::bound_prune(candidates, &local_mins, min_support);
-        (survivors, pruned, min_support)
-    }
-
-    /// Exact whole-database class support of each candidate.
-    fn full_supports(db: &GraphDatabase, t: &Taxonomy, cands: &[pass1::Candidate]) -> Vec<usize> {
-        let rel = crate::relabel::relabel(db, t).unwrap();
-        let matcher = tsg_iso::ExactMatcher;
-        let batched = tsg_iso::BatchedMatcher::new(&rel.dmg, &matcher);
-        cands.iter().map(|c| batched.support_count(&c.skeleton)).collect()
+        tsg_taxonomy::taxonomy_from_edges(4, std::iter::empty()).unwrap()
     }
 
     #[test]
-    fn class_frequent_in_one_of_many_shards_is_pruned_without_recounts() {
-        // Eight shards of four graphs, θ = 1/2: global floor 16, local
-        // floor 2, so each unreporting shard adds a slack of 1. The 2—2
-        // class with edge label 1 fills shard 0 only: its bound is
-        // 4 + 7·1 = 11 < 16. The label-0 twin fills shards 1–7 and needs
-        // one recount (in shard 0); the 0—1 class is known everywhere.
-        let mut labels = vec![1; 4];
-        labels.extend([0; 28]);
-        let db = two_component_db(&labels);
+    fn class_at_the_global_floor_is_kept_however_it_spreads() {
+        use tsg_graph::EdgeLabel;
+        // Eight shards of four graphs, θ = 0.3: global floor ⌈9.6⌉ = 10,
+        // local fraction ⌈1.2⌉ = 2. Edge label 1 sits in exactly 10
+        // graphs: three in shard 0 and one in each other shard, so seven
+        // shards hold it below 2 and none anywhere near 10. Label 2 sits
+        // in 9 graphs, at most two per shard, and must be dropped.
+        let labels = [
+            [1, 1, 1, 2],
+            [1, 2, 2, 0],
+            [1, 2, 0, 0],
+            [1, 2, 0, 0],
+            [1, 2, 0, 0],
+            [1, 2, 0, 0],
+            [1, 2, 0, 0],
+            [1, 2, 0, 0],
+        ];
+        let db = two_component_db(labels.as_flattened());
         let t = flat_taxonomy();
         let plan = plan_shards(&db, &options(8, 1));
         assert!(plan.iter().all(|&(lo, hi)| hi - lo == 4), "{plan:?}");
-        let cfg = TaxogramConfig::with_threshold(0.5);
-        let stats = sharded_stats(&cfg, &db, &t, 8);
-        assert_eq!(stats.candidates, 3);
-        assert_eq!(stats.bound_pruned, 1);
-        assert_eq!(stats.globally_infrequent, 1);
-        assert_eq!(stats.recounts, 1, "only the label-0 class, only in shard 0");
-    }
-
-    #[test]
-    fn bound_equal_to_min_support_is_kept() {
-        // Four shards of four graphs, θ = 1/2: global floor 8, local
-        // floor 2. Edge label 0 fills three graphs of shards 0–1 and one
-        // of shards 2–3 (unreported there): bound 3 + 3 + 1 + 1 = 8, the
-        // floor exactly, and the exact support is 8 too. Label 1 mirrors
-        // it. Dropping a bound equal to the floor would lose both.
-        let db = two_component_db(&[0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]);
-        let t = flat_taxonomy();
-        let cfg = TaxogramConfig::with_threshold(0.5);
-        let (survivors, pruned, min_support) = pass1_and_bound(&cfg, &db, &t, 4);
-        assert_eq!(min_support, 8);
-        assert!(pruned.is_empty());
-        assert_eq!(full_supports(&db, &t, &survivors), vec![16, 8, 8]);
-        let stats = sharded_stats(&cfg, &db, &t, 4);
-        assert_eq!(stats.bound_pruned, 0);
-        assert_eq!(stats.globally_infrequent, 0);
-        assert_eq!(stats.recounts, 4, "each 2—2 class in its two unreporting shards");
-    }
-
-    #[test]
-    fn small_theta_has_no_slack_so_the_bound_is_exact() {
-        // θ = 1/10 over four-graph shards: local floor 1, so an
-        // unreporting shard holds the class in no graph at all and the
-        // bound is the exact support. Every globally infrequent candidate
-        // (the edge-label-2 class, in one graph) falls to the bound, and
-        // every recount finds nothing.
-        let db = two_component_db(&[0, 0, 0, 2, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]);
-        let t = flat_taxonomy();
-        let cfg = TaxogramConfig::with_threshold(0.1);
-        let (survivors, pruned, min_support) = pass1_and_bound(&cfg, &db, &t, 4);
-        assert_eq!(min_support, 2);
-        assert_eq!(full_supports(&db, &t, &pruned), vec![1]);
-        for (c, full) in survivors.iter().zip(full_supports(&db, &t, &survivors)) {
-            let known: usize = c.known.iter().map(|&(_, sup)| sup).sum();
-            assert_eq!(known, full, "no support hides in an unreporting shard");
-        }
-        let stats = sharded_stats(&cfg, &db, &t, 4);
-        assert_eq!(stats.bound_pruned, 1);
-        assert_eq!(stats.globally_infrequent, stats.bound_pruned);
-    }
-
-    #[test]
-    fn bound_respects_uneven_shard_sizes() {
-        use tsg_graph::{EdgeLabel, NodeLabel};
-        // Two 40-vertex paths, then twelve single edges 1—2: the byte
-        // planner gives each path a shard of its own (local floor 1, no
-        // slack) and the twelve edges one shard (θ = 0.4: local floor 5,
-        // slack 4). Global floor 6.
-        let mut graphs = Vec::new();
-        for _ in 0..2 {
-            let mut g = LabeledGraph::with_nodes((0..40).map(|_| NodeLabel(0)));
-            for v in 1..40 {
-                g.add_edge(v - 1, v, EdgeLabel(0)).unwrap();
-            }
-            graphs.push(g);
-        }
-        for l in [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1] {
-            let mut g = LabeledGraph::with_nodes([NodeLabel(1), NodeLabel(2)]);
-            g.add_edge(0, 1, EdgeLabel(l)).unwrap();
-            graphs.push(g);
-        }
-        let db = GraphDatabase::from_graphs(graphs);
-        let t = flat_taxonomy();
-        assert_eq!(plan_shards(&db, &options(4, 1)), vec![(0, 1), (1, 2), (2, 14)]);
-        let cfg = TaxogramConfig::with_threshold(0.4).max_edges(2);
-        let (survivors, pruned, min_support) = pass1_and_bound(&cfg, &db, &t, 4);
-        assert_eq!(min_support, 6);
-        // The 1—2 edge with label 0 (5 graphs, all in the big shard):
-        // bound 5 + 0 + 0 < 6. The path classes (one graph per small
-        // shard): bound 1 + 1 + 4 = 6, kept, yet only 2 graphs hold them.
-        assert_eq!(full_supports(&db, &t, &pruned), vec![5]);
-        assert_eq!(full_supports(&db, &t, &survivors), vec![2, 2, 7]);
-        let stats = sharded_stats(&cfg, &db, &t, 4);
-        assert_eq!(stats.candidates, 4);
-        assert_eq!(stats.bound_pruned, 1);
-        assert_eq!(stats.globally_infrequent, 3);
-        assert_eq!(stats.recounts, 4, "two paths in the big shard, label 1 in both small ones");
-    }
-
-    #[test]
-    fn every_pruned_candidate_is_globally_infrequent() {
-        let n = tsg_testkit::gen::case_count(64);
-        let mut pruned_total = 0;
-        for case in tsg_testkit::gen::cases(0xb0_0d, n) {
-            let (db, t) = (&case.db, &case.taxonomy);
-            let cfg = TaxogramConfig::with_threshold(case.theta).max_edges(3);
-            for shards in [2, 3, 5, 8] {
-                let (_, pruned, min_support) = pass1_and_bound(&cfg, db, t, shards);
-                for (c, sup) in pruned.iter().zip(full_supports(db, t, &pruned)) {
-                    assert!(
-                        sup < min_support,
-                        "seed {:#x}, {shards} shards: pruned {} has support {sup} ≥ {min_support}",
-                        case.seed,
-                        c.code
-                    );
-                }
-                pruned_total += pruned.len();
-            }
-        }
-        assert!(pruned_total > 0, "the generated cases must exercise the bound");
-    }
-
-    #[test]
-    fn pass2a_walk_recounts_equal_subgraph_isomorphism_counts() {
-        let n = tsg_testkit::gen::case_count(64);
-        let mut recounts_total = 0;
-        for case in tsg_testkit::gen::cases(0xb0_0d, n) {
-            let (db, t) = (&case.db, &case.taxonomy);
-            let cfg = TaxogramConfig::with_threshold(case.theta).max_edges(3);
-            let unified = t.unify_most_general();
-            for shards in [2, 3, 5, 8] {
-                let (survivors, _, _) = pass1_and_bound(&cfg, db, t, shards);
-                for (shard, shard_db) in planned_shards(db, shards).into_iter().enumerate() {
-                    let mut relabeled = shard_db.clone();
-                    crate::relabel::relabel_in_place(&mut relabeled, &unified);
-                    let matcher = tsg_iso::ExactMatcher;
-                    let batched = tsg_iso::BatchedMatcher::new(&relabeled, &matcher);
-                    let (supports, recounts) =
-                        pass2::shard_supports(shard_db, &unified, &survivors, shard);
-                    for (c, sup) in survivors.iter().zip(supports) {
-                        assert_eq!(
-                            sup,
-                            batched.support_count(&c.skeleton),
-                            "seed {:#x}, {shards} shards, shard {shard}: {}",
-                            case.seed,
-                            c.code
-                        );
-                    }
-                    recounts_total += recounts;
-                }
-            }
-        }
-        assert!(recounts_total > 0, "the generated cases must exercise the recount");
+        let cfg = TaxogramConfig::with_threshold(0.3);
+        assert_eq!(db.min_support_count(cfg.threshold), 10);
+        let sharded = assert_matches_serial(&cfg, &db, &t, &options(8, 2));
+        let with_label = |l: u32| -> Vec<usize> {
+            let patterns = sharded.result.patterns.iter();
+            let with = patterns.filter(|p| p.graph.edges().iter().any(|e| e.label == EdgeLabel(l)));
+            with.map(|p| p.support_count).collect()
+        };
+        // The 2—2 edge and the 2—2—3 path, both at the floor exactly.
+        assert_eq!(with_label(1), vec![10, 10]);
+        assert!(with_label(2).is_empty());
+        let g = sharded.result.stats.gspan;
+        assert!(
+            g.infrequent > 0 && g.non_minimal > 0 && g.embeddings_grown > 0,
+            "{g:?}"
+        );
+        assert_eq!(sharded.shard_stats.candidates, g.keys_counted);
+        assert_eq!(sharded.shard_stats.globally_infrequent, g.infrequent);
     }
 
     #[test]

@@ -323,7 +323,7 @@ fn as_outcome(sharded: ShardedOutcome) -> MiningOutcome {
     }
 }
 
-/// Cancellation tripping **mid-Pass-2b** of the sharded miner: like the
+/// Cancellation tripping **mid-Pass-2** of the sharded miner: like the
 /// serially-admitting engines, it admits one class at a time in serial
 /// code order, so a cancel at the Nth admission finishes *exactly*
 /// min(N, total) classes and emits the byte-identical serial prefix —
@@ -367,7 +367,7 @@ fn sharded_cancel_mid_pass2_yields_exact_prefix() {
     }
 }
 
-/// Budget ceilings binding mid-Pass-2b: the class ceiling stops at
+/// Budget ceilings binding mid-Pass-2: the class ceiling stops at
 /// exactly N finished classes with the ceiling named in the reason; the
 /// pattern ceiling stops at the first admission after crossing.
 #[test]
@@ -402,7 +402,7 @@ fn sharded_budgets_bind_mid_pass2() {
     }
 }
 
-/// Governance tripping **mid-Pass-1/2a** of the sharded miner (a
+/// Governance tripping **mid-Pass-1** of the sharded miner (a
 /// pre-cancelled token or an expired deadline is observed at the first
 /// shard claim): no class ever finishes, the result is empty, and the
 /// termination truthfully reports zero finished, at least one abandoned,

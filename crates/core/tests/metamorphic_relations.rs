@@ -118,13 +118,13 @@ fn shard_count_never_changes_the_output() {
 
 #[test]
 fn sharding_survives_the_locally_overgeneralized_corner() {
-    // The corner that breaks naive partition merging (see the sharded
-    // miner's module docs, `taxogram_core::shard`): with taxonomy 0 > 1
-    // and shards {1—1} and {0—0}, each half mined alone at θ=1.0 reports a
-    // *different* most-general pattern — the first shard never sees the
-    // label-0 graph, so 1—1 is locally minimal there. The sharded miner
-    // must still converge on the single global answer 0—0 with support
-    // 2, because Pass 2b re-derives class membership on global data.
+    // The corner that breaks naive partition merging: with taxonomy
+    // 0 > 1 and shards {1—1} and {0—0}, each half mined alone at θ=1.0
+    // would report a *different* most-general pattern — the first shard
+    // never sees the label-0 graph, so 1—1 is locally minimal there. The
+    // sharded miner never mines a shard alone: it sums the shards'
+    // counts and derives class membership on global data, so it must
+    // converge on the single global answer 0—0 with support 2.
     use taxogram_core::{mine_sharded, ShardOptions, TaxogramConfig};
     use tsg_graph::{EdgeLabel, GraphDatabase, LabeledGraph, NodeLabel};
 

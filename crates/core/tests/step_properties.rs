@@ -1,6 +1,6 @@
 //! Property tests for the per-step support modules on seeded
 //! [`tsg_testkit`] inputs: Step 1 relabeling (`relabel`), the sharded
-//! SON miner's run-level counters (`shard`), and the Srikant–Agrawal
+//! miner's run-level counters (`shard`), and the Srikant–Agrawal
 //! R-interestingness filter (`interest`).
 //!
 //! The full-pipeline agreement suites already exercise these modules

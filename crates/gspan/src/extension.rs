@@ -173,6 +173,15 @@ fn for_each_seed_candidate(
     }
 }
 
+/// Every single-edge seed key of `db`, in canonical order, with its
+/// support: the number of distinct graphs realizing it. Nothing is
+/// materialized.
+pub fn seed_counts(db: &GraphDatabase) -> Vec<(DfsEdge, usize)> {
+    let mut counts = KeyCounts::default();
+    for_each_seed_candidate(db, |key, gid, _, _, _| counts.see(key, gid));
+    counts.into_vec()
+}
+
 /// The single-edge seed codes of `db` supported by at least
 /// `min_support` distinct graphs, in canonical order, each with its
 /// embeddings in database order. Seeds are counted first and only the
@@ -181,10 +190,7 @@ pub fn seed_extensions(
     db: &GraphDatabase,
     min_support: usize,
 ) -> Vec<(DfsEdge, Vec<Embedding>)> {
-    let mut counts = KeyCounts::default();
-    for_each_seed_candidate(db, |key, gid, _, _, _| counts.see(key, gid));
-    let keys: Vec<DfsEdge> = counts
-        .into_vec()
+    let keys: Vec<DfsEdge> = seed_counts(db)
         .into_iter()
         .filter(|&(_, support)| support >= min_support)
         .map(|(key, _)| key)

@@ -42,12 +42,12 @@ mod walk;
 
 pub use dfs_code::{dfs_edge_cmp, ArcDir, DfsCode, DfsEdge};
 pub use extension::{
-    count_extensions, distinct_graph_count, embedding_list_bytes, grow_extensions,
+    count_extensions, distinct_graph_count, embedding_list_bytes, grow_extensions, seed_counts,
     seed_extensions, Embedding,
 };
 pub use minimal::{is_min, is_min_with_scratch, min_dfs_code, MinScratch};
 pub use miner::{
-    mine_frequent, ClassHandoff, CollectSink, FrequentPattern, GSpan, GSpanConfig, GSpanStats,
-    Grow, MinedPattern, PatternSink,
+    frequent_minimal_keys, mine_frequent, ClassHandoff, CollectSink, FrequentPattern, GSpan,
+    GSpanConfig, GSpanStats, Grow, MinedPattern, PatternSink,
 };
 pub use walk::walk_codes;

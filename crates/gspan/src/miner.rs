@@ -213,24 +213,7 @@ impl<'a> GSpan<'a> {
             return ControlFlow::Continue(());
         }
         let counts = count_extensions(code, &embs, self.db);
-        stats.keys_counted += counts.len();
-        let mut children: Vec<(DfsEdge, usize)> = Vec::new();
-        for (key, child_support) in counts {
-            if child_support < self.config.min_support {
-                stats.infrequent += 1;
-                continue;
-            }
-            // A smaller code reaches this child's graph; that branch
-            // reports it, so this one is never grown.
-            code.push(key);
-            let minimal = is_min_with_scratch(code, scratch);
-            code.pop();
-            if !minimal {
-                stats.non_minimal += 1;
-                continue;
-            }
-            children.push((key, child_support));
-        }
+        let children = frequent_minimal_keys(code, counts, self.config.min_support, scratch, stats);
         let keys: Vec<DfsEdge> = children.iter().map(|&(key, _)| key).collect();
         let grown = grow_extensions(code, &embs, self.db, &keys);
         stats.embeddings_grown += grown.iter().map(Vec::len).sum::<usize>();
@@ -247,6 +230,39 @@ impl<'a> GSpan<'a> {
         }
         ControlFlow::Continue(())
     }
+}
+
+/// gSpan's child rule: of `counts`, the extension keys of `code` with
+/// their supports in canonical order (as [`count_extensions`] returns
+/// them), the keys supported by at least `min_support` graphs whose
+/// grown code is minimal, in the same order. `stats` counts every key
+/// and the infrequent and non-minimal ones; `code` is left as it was.
+pub fn frequent_minimal_keys(
+    code: &mut DfsCode,
+    counts: Vec<(DfsEdge, usize)>,
+    min_support: usize,
+    scratch: &mut MinScratch,
+    stats: &mut GSpanStats,
+) -> Vec<(DfsEdge, usize)> {
+    stats.keys_counted += counts.len();
+    let mut children = Vec::new();
+    for (key, support) in counts {
+        if support < min_support {
+            stats.infrequent += 1;
+            continue;
+        }
+        // A smaller code reaches this child's graph; that branch
+        // reports it, so this one is never grown.
+        code.push(key);
+        let minimal = is_min_with_scratch(code, scratch);
+        code.pop();
+        if minimal {
+            children.push((key, support));
+        } else {
+            stats.non_minimal += 1;
+        }
+    }
+    children
 }
 
 /// Convenience wrapper: mines and collects all frequent patterns.

@@ -30,7 +30,7 @@ use tsg_graph::GraphDatabase;
 /// is called.
 pub fn walk_codes(
     db: &GraphDatabase,
-    codes: &[&DfsCode],
+    codes: &[DfsCode],
     mut visit: impl FnMut(usize, Vec<Embedding>),
 ) {
     debug_assert!(
@@ -60,7 +60,7 @@ pub fn walk_codes(
 /// canonical order.
 fn walk_node(
     db: &GraphDatabase,
-    codes: &[&DfsCode],
+    codes: &[DfsCode],
     lo: usize,
     hi: usize,
     code: &mut DfsCode,
@@ -94,7 +94,7 @@ fn walk_node(
 /// Splits the codes of `codes[start..]` longer than `depth`, which share
 /// their first `depth` edges, into maximal runs with equal edge `depth`:
 /// `(edge, lo, hi)` per run, in order.
-fn group_by_edge(codes: &[&DfsCode], start: usize, depth: usize) -> Vec<(DfsEdge, usize, usize)> {
+fn group_by_edge(codes: &[DfsCode], start: usize, depth: usize) -> Vec<(DfsEdge, usize, usize)> {
     let mut groups: Vec<(DfsEdge, usize, usize)> = Vec::new();
     for (i, c) in codes.iter().enumerate().skip(start) {
         let Some(&edge) = c.edges().get(depth) else {

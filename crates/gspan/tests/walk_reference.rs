@@ -65,8 +65,7 @@ fn check(
         .map(|(code, _)| code)
         .collect();
     let mut visited: Vec<(usize, Vec<Embedding>)> = Vec::new();
-    let listed: Vec<&DfsCode> = picked.iter().collect();
-    walk_codes(db, &listed, |i, embeddings| visited.push((i, embeddings)));
+    walk_codes(db, &picked, |i, embeddings| visited.push((i, embeddings)));
     // The listed codes that occur in `db`, in list order, with the
     // miner's lists: the miner reports every occurring code at support 1.
     let want: Vec<(usize, &Vec<Embedding>)> = picked
@@ -134,7 +133,7 @@ fn prefixes_come_first_and_absent_codes_never() {
     let other = database(vec![g, absent]);
     let mined = mine_all(&other, 2);
     assert_eq!(mined.len(), 4, "1-2, 1-2-3, 1-4 and 2-3");
-    let codes: Vec<&DfsCode> = mined.iter().map(|(code, _)| code).collect();
+    let codes: Vec<DfsCode> = mined.into_iter().map(|(code, _)| code).collect();
     let mut visited = Vec::new();
     walk_codes(&db, &codes, |i, embeddings| {
         visited.push((i, embeddings.len()));

@@ -21,7 +21,7 @@ use taxogram_core::{
 /// The thread counts the acceptance matrix sweeps.
 pub const FAULT_THREADS: [usize; 3] = [1, 2, 4];
 
-/// The channel capacities (and Pass 2b class batches) the acceptance
+/// The channel capacities (and Pass 2 class batches) the acceptance
 /// matrix sweeps; capacity 1 maximizes contention (every send
 /// backpressures).
 pub const FAULT_CAPACITIES: [usize; 3] = [1, 2, 4];
@@ -32,7 +32,7 @@ pub const FAULT_CAPACITIES: [usize; 3] = [1, 2, 4];
 pub struct FaultPlan {
     /// Worker thread count (0 ⇒ engine default).
     pub threads: usize,
-    /// Channel capacity (pipelined) / Pass 2b class batch (sharded);
+    /// Channel capacity (pipelined) / Pass 2 class batch (sharded);
     /// 0 ⇒ engine default.
     pub capacity: usize,
     /// Faults for the streaming pipeline.
@@ -207,7 +207,7 @@ impl FaultPlan {
         ShardOptions {
             shards,
             threads: self.threads.max(1),
-            // Capacity doubles as the Pass 2b class batch so the matrix
+            // Capacity doubles as the Pass 2 class batch so the matrix
             // sweeps batch boundaries too.
             class_batch: self.capacity.max(1),
             ..ShardOptions::default()

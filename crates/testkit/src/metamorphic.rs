@@ -30,13 +30,13 @@
 //! 8. **Reference agreement** — the full output matches the brute-force
 //!    reference miner ([`taxogram_core::reference`]), in particular
 //!    containing no over-generalized pattern.
-//! 9. **Shard-count invariance** — the sharded out-of-core SON miner
+//! 9. **Shard-count invariance** — the sharded out-of-core miner
 //!    ([`taxogram_core::shard`]) is byte-identical to the serial engine
-//!    at *every* shard count and thread count: the candidate superset is
-//!    complete (SON pigeonhole), supports are recounted exactly, and
-//!    Pass 2b re-enumerates each class in serial order on global data,
-//!    with the serial engine's occurrence, occurrence-index update and
-//!    Step 3 counters.
+//!    at *every* shard count and thread count: per-shard extension
+//!    counts sum to the global ones, so its level-by-level class search
+//!    keeps exactly the serial classes, and Pass 2 re-enumerates each
+//!    class in serial order on global data, with the serial engine's
+//!    occurrence, occurrence-index update, Step 2 and Step 3 counters.
 //!
 //! All relations are driven by [`run_suite`]; individual relations are
 //! public for targeted tests.
@@ -159,10 +159,9 @@ pub fn assert_engines_identical(a: &MiningResult, b: &MiningResult) -> Result<()
 }
 
 /// Equal work counters of two results of the same input: occurrences,
-/// occurrence-index updates and the four Step 3 counters, plus Step 2's
-/// counters when `gspan` is set (the sharded miner's Pass 1 mines shards,
-/// so it reports none).
-pub fn assert_same_work(a: &MiningResult, b: &MiningResult, gspan: bool) -> Result<(), String> {
+/// occurrence-index updates, the four Step 3 counters and Step 2's
+/// counters.
+pub fn assert_same_work(a: &MiningResult, b: &MiningResult) -> Result<(), String> {
     let (a, b) = (&a.stats, &b.stats);
     let counters = |s: &MiningStats| (s.occurrences, s.oi_updates, s.enumeration);
     if counters(a) != counters(b) {
@@ -172,7 +171,7 @@ pub fn assert_same_work(a: &MiningResult, b: &MiningResult, gspan: bool) -> Resu
             counters(b)
         ));
     }
-    if gspan && a.gspan != b.gspan {
+    if a.gspan != b.gspan {
         return Err(format!("work: gspan {:?} vs {:?}", a.gspan, b.gspan));
     }
     Ok(())
@@ -263,7 +262,7 @@ pub fn engines_agree(case: &Case) -> Result<(), String> {
                 serial.stats.classes
             ));
         }
-        assert_same_work(&serial, &other, true)
+        assert_same_work(&serial, &other)
             .map_err(|msg| format!("engines[{}]: {msg}", engine.name()))?;
     }
     Ok(())
@@ -456,14 +455,14 @@ pub fn matches_reference(
 }
 
 /// Shard counts exercised by relation 9: the degenerate single shard,
-/// small counts that split candidate discovery across partitions, and a
+/// small counts that split every extension count across partitions, and a
 /// count larger than any generated database (forcing one-graph shards).
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// Relation 9: the sharded out-of-core miner reproduces the serial
 /// result byte for byte at every shard count, single- and multi-threaded,
-/// with the serial engine's occurrence, index-update and Step 3 counters,
-/// and always reports a complete (ungoverned) termination.
+/// with the serial engine's occurrence, index-update, Step 2 and Step 3
+/// counters, and always reports a complete (ungoverned) termination.
 pub fn shard_count_invariance(case: &Case) -> Result<(), String> {
     let cfg = config(case.theta);
     let serial = Engine::Serial
@@ -474,7 +473,7 @@ pub fn shard_count_invariance(case: &Case) -> Result<(), String> {
             let opts = ShardOptions {
                 shards,
                 threads,
-                // Batch size 2 makes multi-batch Pass 2b runs common on
+                // Batch size 2 makes multi-batch Pass 2 runs common on
                 // the small generated cases.
                 class_batch: 2,
                 ..ShardOptions::default()
@@ -488,7 +487,7 @@ pub fn shard_count_invariance(case: &Case) -> Result<(), String> {
                 ));
             }
             assert_engines_identical(&serial, &outcome.result)
-                .and_then(|()| assert_same_work(&serial, &outcome.result, false))
+                .and_then(|()| assert_same_work(&serial, &outcome.result))
                 .map_err(|msg| format!("shard-invariance[P={shards},t={threads}]: {msg}"))?;
         }
     }

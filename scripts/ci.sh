@@ -55,14 +55,19 @@ cargo test --release -q -p tsg-bitset -p tsg-gspan -p taxogram-core -p tsg-serve
 # Lemma 7 pin: mine TD15 (64 classes, ~1M Step 3 support counts) in
 # release mode and require its exact Step 3 counters and pattern count,
 # so a support kernel that miscounts even one candidate fails here, and
-# its occurrence-index update count (Lemma 5) on a deep taxonomy.
-echo "== TD15 Step 3 pin (release mine, exact counters) =="
+# its occurrence-index update count (Lemma 5) on a deep taxonomy. Mined
+# again over 41 shards, it must print the serial summary, Step 2 and
+# Step 3 lines and the same pattern checksum.
+echo "== TD15 Step 3 pin (release mine, exact counters, serial and sharded) =="
 td15_dir="$(mktemp -d)"
 cargo run --release -q -p taxogram -- generate --dataset TD15 --scale 0.05 \
     --out "$td15_dir" >/dev/null
 td15_out="$(cargo run --release -q -p taxogram -- mine \
     --taxonomy "$td15_dir/taxonomy.txt" --database "$td15_dir/database.txt" \
     --support 0.3 --max-edges 6)"
+td15_sharded_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$td15_dir/taxonomy.txt" --database "$td15_dir/database.txt" \
+    --support 0.3 --max-edges 6 --shards 41)"
 rm -rf "$td15_dir"
 # Here-strings, not `printf | grep -q`: the output is megabytes, and a
 # grep that exits at its match would leave printf writing into a closed
@@ -84,10 +89,19 @@ grep -qF ' 3026186 occurrence-index updates' <<<"$td15_out" || {
 # `#` ones, since `# mined … in` carries a time), so a printer that
 # changes one byte of one of the 103456 lines fails here.
 pattern_cksum() { grep -v '^#' <<<"$1" | cksum; }
-[ "$(pattern_cksum "$td15_out")" = '4104776896 5729293' ] || {
-    echo "!! FAIL: TD15 pattern lines differ from the pinned checksum" >&2
+for run in "$td15_out" "$td15_sharded_out"; do
+    [ "$(pattern_cksum "$run")" = '4104776896 5729293' ] || {
+        echo "!! FAIL: TD15 pattern lines (serial or --shards 41) differ from the pinned checksum" >&2
+        exit 1
+    }
+done
+# The summary, Step 2 and Step 3 lines of a run.
+mine_counters() { grep -E '^# ([0-9]+ of [0-9]+ patterns|step 2:|step 3:)' <<<"$1"; }
+if [ "$(mine_counters "$td15_out" | wc -l)" -ne 3 ] \
+    || [ "$(mine_counters "$td15_sharded_out")" != "$(mine_counters "$td15_out")" ]; then
+    echo "!! FAIL: TD15 --shards 41 summary, Step 2 or Step 3 lines differ from the serial run" >&2
     exit 1
-}
+fi
 
 # Lemma 5 pin on the wide GO-like taxonomy: mine D1000 in release mode
 # and require its exact summary and Step 3 lines. The index build counts
@@ -95,8 +109,8 @@ pattern_cksum() { grep -v '^#' <<<"$1" | cksum; }
 # pins every (occurrence, admitted ancestor) pair under label pruning.
 # The same mine at two threads runs the pipelined engine, which must
 # print the identical summary, Step 2 and Step 3 lines. Mined again over
-# 41 shards, it must print the serial summary and Step 3 lines and the
-# exact sharding counters.
+# 41 shards, it must print the same three lines and the exact sharding
+# counters.
 echo "== D1000 OI pin (release mine, exact counters, serial, pipelined and sharded) =="
 d1000_dir="$(mktemp -d)"
 cargo run --release -q -p taxogram -- generate --dataset D1000 --scale 1.0 \
@@ -111,9 +125,8 @@ d1000_sharded_out="$(cargo run --release -q -p taxogram -- mine \
     --taxonomy "$d1000_dir/taxonomy.txt" --database "$d1000_dir/database.txt" \
     --support 0.2 --max-edges 5 --shards 41)"
 rm -rf "$d1000_dir"
-d1000_counters() { grep -E '^# ([0-9]+ of [0-9]+ patterns|step 2:|step 3:)' <<<"$1"; }
-if [ "$(d1000_counters "$d1000_out" | wc -l)" -ne 3 ] \
-    || [ "$(d1000_counters "$d1000_out")" != "$(d1000_counters "$d1000_piped_out")" ]; then
+if [ "$(mine_counters "$d1000_out" | wc -l)" -ne 3 ] \
+    || [ "$(mine_counters "$d1000_out")" != "$(mine_counters "$d1000_piped_out")" ]; then
     echo "!! FAIL: D1000 --threads 2 summary, Step 2 or Step 3 lines differ from the serial run" >&2
     exit 1
 fi
@@ -127,12 +140,11 @@ grep -qxF '# step 3: 144 vectors, 5045 intersections, 0 over-generalized' \
     echo "!! FAIL: D1000 Step 3 counters differ from the pinned line" >&2
     exit 1
 }
-d1000_summary() { grep -E '^# ([0-9]+ of [0-9]+ patterns|step 3:)' <<<"$1"; }
-if [ "$(d1000_summary "$d1000_sharded_out")" != "$(d1000_summary "$d1000_out")" ]; then
-    echo "!! FAIL: D1000 --shards 41 summary or Step 3 lines differ from the serial run" >&2
+if [ "$(mine_counters "$d1000_sharded_out")" != "$(mine_counters "$d1000_out")" ]; then
+    echo "!! FAIL: D1000 --shards 41 summary, Step 2 or Step 3 lines differ from the serial run" >&2
     exit 1
 fi
-grep -qxF '# 144 patterns from 41 shards (395 candidates, 340 globally infrequent, 336 bound-pruned, 390 recounts, 179512 bytes spilled / largest shard 4524, 9 db streams)' \
+grep -qxF '# 144 patterns from 41 shards (179512 bytes spilled / largest shard 4524, 10 db streams)' \
     <<<"$d1000_sharded_out" || {
     echo "!! FAIL: D1000 --shards 41 sharding counters differ from the pinned line" >&2
     exit 1
@@ -149,9 +161,9 @@ done
 # enhancement and again as the baseline (no contraction, no Apriori
 # pruning). Step 3 descends into each pattern orbit from its one
 # canonical parent, so its exact counters pin the orbit rule too. A run
-# over 7 shards must print the same lines: the sharded Pass 2 re-grows
-# every automorphic embedding of a symmetric skeleton, or Step 3's
-# counters move.
+# over 7 shards must print the serial summary, Step 2 and Step 3 lines:
+# the sharded Pass 2 re-grows every automorphic embedding of a symmetric
+# skeleton, or Step 3's counters move.
 echo "== D1000 s0.2 symmetric-skeleton pin (release mine, exact counters) =="
 d02_dir="$(mktemp -d)"
 cargo run --release -q -p taxogram -- generate --dataset D1000 --scale 0.2 \
@@ -181,14 +193,16 @@ grep -qxF '# step 3: 2946 vectors, 1588631 intersections, 674 over-generalized' 
     echo "!! FAIL: D1000 s0.2 baseline Step 3 counters differ from the pinned line" >&2
     exit 1
 }
-for line in '# 2272 of 2272 patterns after filter, 101 classes, 287322 occurrence-index updates' \
-    '# step 3: 2749 vectors, 23820 intersections, 477 over-generalized' \
-    '# 2272 patterns from 7 shards (1034 candidates, 933 globally infrequent, 823 bound-pruned, 542 recounts, 35752 bytes spilled / largest shard 5285, 15 db streams)'; do
-    grep -qxF "$line" <<<"$d02_sharded_out" || {
-        echo "!! FAIL: D1000 s0.2 --shards 7 lacks the pinned line: $line" >&2
-        exit 1
-    }
-done
+if [ "$(mine_counters "$d02_out" | wc -l)" -ne 3 ] \
+    || [ "$(mine_counters "$d02_sharded_out")" != "$(mine_counters "$d02_out")" ]; then
+    echo "!! FAIL: D1000 s0.2 --shards 7 summary, Step 2 or Step 3 lines differ from the serial run" >&2
+    exit 1
+fi
+grep -qxF '# 2272 patterns from 7 shards (35752 bytes spilled / largest shard 5285, 17 db streams)' \
+    <<<"$d02_sharded_out" || {
+    echo "!! FAIL: D1000 s0.2 --shards 7 sharding counters differ from the pinned line" >&2
+    exit 1
+}
 
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -224,7 +238,7 @@ cargo run --release -q -p tsg-bench --bin taxonomy_scale -- --smoke
 echo "== fault-injection matrix =="
 cargo test -q -p taxogram-core --test fault_injection
 
-# Sharded out-of-core stage: shard-count invariance (the sharded SON
+# Sharded out-of-core stage: shard-count invariance (the sharded
 # miner byte-identical to serial at every shard/thread count, incl. the
 # locally-over-generalized corner), the spill-I/O fault matrix, and a CLI
 # smoke that spills a 10-shard mine through a temp dir — asserting the

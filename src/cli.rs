@@ -52,8 +52,9 @@ impl Args {
     /// Parses raw arguments (without the program name).
     ///
     /// # Errors
-    /// Fails on a missing subcommand, a flag without a value, or a flag
-    /// given twice, rather than letting one of its values silently win.
+    /// Fails on a missing subcommand, a flag without a value (a following
+    /// `--flag` is not a value), or a flag given twice, rather than
+    /// letting one of its values silently win.
     pub fn parse(raw: &[String]) -> Result<Args, CliError> {
         let subcommand = raw
             .first()
@@ -65,8 +66,11 @@ impl Args {
             let name = raw[i]
                 .strip_prefix("--")
                 .ok_or_else(|| err(format!("expected --flag, got {:?}", raw[i])))?;
+            // A value never starts with `--`: that is the next flag, and
+            // taking it as this one's value would misreport the error.
             let value = raw
                 .get(i + 1)
+                .filter(|v| !v.starts_with("--"))
                 .ok_or_else(|| err(format!("--{name} needs a value")))?;
             if flags.iter().any(|(n, _)| n == name) {
                 return Err(err(format!("--{name} given twice")));
@@ -213,24 +217,16 @@ fn parse_bytes(s: &str) -> Option<usize> {
 /// `None` when no governance flag was given (run ungoverned).
 fn govern_flags(args: &Args) -> Result<Option<taxogram_core::GovernOptions>, CliError> {
     let mut budget = taxogram_core::Budget::unlimited();
-    if let Some(s) = args.get("time-limit") {
-        let secs = s
-            .parse::<f64>()
-            .ok()
-            .filter(|v| *v >= 0.0 && v.is_finite())
-            .ok_or_else(|| err("--time-limit must be a non-negative number of seconds"))?;
-        budget = budget.deadline(std::time::Duration::from_secs_f64(secs));
+    if let Some(d) = seconds(args, "time-limit")? {
+        budget = budget.deadline(d);
     }
     if let Some(s) = args.get("memory-limit") {
         budget = budget.max_peak_bytes(
             parse_bytes(s).ok_or_else(|| err("--memory-limit must be BYTES with optional K/M/G"))?,
         );
     }
-    if let Some(s) = args.get("max-patterns") {
-        budget = budget.max_patterns(
-            s.parse()
-                .map_err(|_| err("--max-patterns must be an integer"))?,
-        );
+    if let Some(n) = integer(args, "max-patterns")? {
+        budget = budget.max_patterns(n);
     }
     if budget.is_unlimited() {
         return Ok(None);
@@ -238,176 +234,84 @@ fn govern_flags(args: &Args) -> Result<Option<taxogram_core::GovernOptions>, Cli
     Ok(Some(taxogram_core::GovernOptions::with_budget(budget)))
 }
 
+/// `--name` as a non-negative integer, if given.
+fn integer<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, CliError> {
+    let parse = |s: &str| {
+        s.parse()
+            .map_err(|_| err(format!("--{name} must be a non-negative integer")))
+    };
+    args.get(name).map(parse).transpose()
+}
+
+/// `--name` as a non-negative number of seconds, if given.
+fn seconds(args: &Args, name: &str) -> Result<Option<std::time::Duration>, CliError> {
+    let parse = |s: &str| {
+        s.parse::<f64>()
+            .ok()
+            .filter(|v| *v >= 0.0 && v.is_finite())
+            .map(std::time::Duration::from_secs_f64)
+            .ok_or_else(|| err(format!("--{name} must be a non-negative number of seconds")))
+    };
+    args.get(name).map(parse).transpose()
+}
+
+/// `--name` as an integer of at most `max`, or `default` if absent.
+fn capped_count(args: &Args, name: &str, max: usize, default: usize) -> Result<usize, CliError> {
+    match args.get(name) {
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&n| n <= max)
+            .ok_or_else(|| err(format!("--{name} must be an integer of at most {max}"))),
+        None => Ok(default),
+    }
+}
+
 /// The largest `--threads` value `mine` accepts. Each thread past the
 /// first is an OS thread the engine spawns outright, so a mistyped count
 /// would exhaust the process's threads or memory before mining a graph.
 const MAX_THREADS: usize = 1024;
 
+/// A `--filter` post-filter on the minimal pattern set.
+enum Filter {
+    Closed,
+    Maximal,
+    Interesting(f64),
+}
+
+fn parse_filter(s: &str) -> Result<Filter, CliError> {
+    match s {
+        "closed" => Ok(Filter::Closed),
+        "maximal" => Ok(Filter::Maximal),
+        _ => s
+            .strip_prefix("interesting:")
+            .and_then(|v| v.parse().ok())
+            .map(Filter::Interesting)
+            .ok_or_else(|| err("--filter must be closed, maximal, or interesting:R")),
+    }
+}
+
 fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // One line per pattern: buffered, and flushed before returning.
     let out = &mut std::io::BufWriter::new(out);
-    // Checked before any input is read, so a bad count fails fast.
-    let threads: usize = match args.get("threads") {
-        Some(s) => s
-            .parse()
-            .ok()
-            .filter(|&n| n <= MAX_THREADS)
-            .ok_or_else(|| err(format!("--threads must be an integer of at most {MAX_THREADS}")))?,
-        None => 1,
-    };
-    let (names, taxonomy, db) = load_inputs(args)?;
+    // Every flag is checked before any input is read, so a bad value
+    // fails fast instead of after a full load.
+    let threads = capped_count(args, "threads", MAX_THREADS, 1)?;
     let theta: f64 = args
         .require("support")?
         .parse()
-        .map_err(|_| err("--support must be a number in [0, 1]"))?;
-    let max_edges: Option<usize> = match args.get("max-edges") {
-        Some(s) => Some(s.parse().map_err(|_| err("--max-edges must be an integer"))?),
-        None => None,
-    };
+        .ok()
+        .filter(|t| (0.0..=1.0).contains(t))
+        .ok_or_else(|| err("--support must be a number in [0, 1]"))?;
+    let max_edges: Option<usize> = integer(args, "max-edges")?;
     let algorithm = args.get("algorithm").unwrap_or("taxogram");
-    let shards: usize = match args.get("shards") {
-        Some(s) => s.parse().map_err(|_| err("--shards must be an integer"))?,
-        None => 0,
-    };
-    let started = std::time::Instant::now();
-    let printed = match algorithm {
-        "taxogram" => {
-            let mut cfg = if args.get("baseline") == Some("true") {
-                taxogram_core::TaxogramConfig::baseline(theta)
-            } else {
-                taxogram_core::TaxogramConfig::with_threshold(theta)
-            };
-            cfg.max_edges = max_edges;
-            // --shards > 0 spills the database and mines it out of core;
-            // otherwise threads > 1 uses the streaming pipelined engine
-            // (Step 2 and Step 3 overlapped) and threads <= 1 the serial
-            // miner. Governance flags route through the governed entry
-            // points and surface the termination report as a comment
-            // line; a sharded run always reports it.
-            let govern = govern_flags(args)?;
-            let (r, termination, shard_stats) = if shards > 0 {
-                let opts = taxogram_core::ShardOptions {
-                    shards,
-                    threads: threads.max(1),
-                    spill_dir: args.get("spill-dir").map(std::path::PathBuf::from),
-                    ..Default::default()
-                };
-                let outcome = match &govern {
-                    Some(govern) => {
-                        taxogram_core::mine_sharded_governed(&cfg, &db, &taxonomy, &opts, govern)
-                    }
-                    None => taxogram_core::mine_sharded(&cfg, &db, &taxonomy, &opts),
-                }
-                .map_err(|e| err(e.to_string()))?;
-                (
-                    outcome.result,
-                    Some(outcome.termination),
-                    Some(outcome.shard_stats),
-                )
-            } else if let Some(govern) = &govern {
-                let outcome = taxogram_core::mine_pipelined_governed(
-                    &cfg,
-                    &db,
-                    &taxonomy,
-                    taxogram_core::PipelineOptions {
-                        threads,
-                        ..Default::default()
-                    },
-                    govern,
-                )
-                .map_err(|e| err(e.to_string()))?;
-                (outcome.result, Some(outcome.termination), None)
-            } else {
-                let r = taxogram_core::mine_pipelined(&cfg, &db, &taxonomy, threads)
-                    .map_err(|e| err(e.to_string()))?;
-                (r, None, None)
-            };
-            // Optional post-filters on the minimal pattern set.
-            let selected: Vec<&taxogram_core::Pattern> = match args.get("filter") {
-                None => r.sorted_patterns(),
-                Some("closed") => {
-                    taxogram_core::postprocess::closed_patterns(&r.patterns, &taxonomy)
-                }
-                Some("maximal") => {
-                    taxogram_core::postprocess::maximal_patterns(&r.patterns, &taxonomy)
-                }
-                Some(f) => {
-                    let factor: f64 = f
-                        .strip_prefix("interesting:")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("--filter must be closed, maximal, or interesting:R"))?;
-                    taxogram_core::interest::r_interesting(&r.patterns, &db, &taxonomy, factor)
-                        .into_iter()
-                        .map(|(p, _)| p)
-                        .collect()
-                }
-            };
-            if let Some(dir) = args.get("dot-dir") {
-                let dir = std::path::Path::new(dir);
-                std::fs::create_dir_all(dir)?;
-                for (i, p) in selected.iter().enumerate().take(100) {
-                    let dot =
-                        tsg_graph::dot::to_dot(&p.graph, &format!("pattern_{i}"), Some(&names));
-                    std::fs::write(dir.join(format!("pattern_{i:03}.dot")), dot)?;
-                }
-            }
-            for p in &selected {
-                print_pattern(out, &p.graph, p.support_count, db.len(), &names)?;
-            }
-            writeln!(
-                out,
-                "# {} of {} patterns after filter, {} classes, {} occurrence-index updates",
-                selected.len(),
-                r.patterns.len(),
-                r.stats.classes,
-                r.stats.oi_updates
-            )?;
-            // Counts only, no times: the step 2 line is identical across
-            // runs and across the serial and pipelined engines (the sharded
-            // miner's Pass 1 mines shards, not the database, so it has no
-            // such line); the step 3 line also holds for the sharded one.
-            if shard_stats.is_none() {
-                let g = &r.stats.gspan;
-                writeln!(
-                    out,
-                    "# step 2: {} extension keys, {} infrequent, {} non-minimal, {} embeddings grown",
-                    g.keys_counted, g.infrequent, g.non_minimal, g.embeddings_grown
-                )?;
-            }
-            let e = &r.stats.enumeration;
-            writeln!(
-                out,
-                "# step 3: {} vectors, {} intersections, {} over-generalized",
-                e.vectors_visited, e.intersections, e.overgeneralized
-            )?;
-            if let Some(s) = &shard_stats {
-                writeln!(
-                    out,
-                    "# {} patterns from {} shards ({} candidates, {} globally infrequent, \
-                     {} bound-pruned, {} recounts, \
-                     {} bytes spilled / largest shard {}, {} db streams)",
-                    r.patterns.len(),
-                    s.shards,
-                    s.candidates,
-                    s.globally_infrequent,
-                    s.bound_pruned,
-                    s.recounts,
-                    s.spilled_bytes,
-                    s.largest_shard_bytes,
-                    s.db_streams
-                )?;
-            }
-            if let Some(t) = &termination {
-                writeln!(
-                    out,
-                    "# termination: {} ({} classes finished, {} abandoned)",
-                    t.reason, t.classes_finished, t.classes_abandoned
-                )?;
-            }
-            selected.len()
-        }
+    let shards: usize = integer(args, "shards")?.unwrap_or(0);
+    let filter = args.get("filter").map(parse_filter).transpose()?;
+    let govern = govern_flags(args)?;
+    match algorithm {
+        "taxogram" => {}
         "tacgm" => {
-            if govern_flags(args)?.is_some() {
+            if govern.is_some() {
                 return Err(err(
                     "--time-limit/--memory-limit/--max-patterns are not supported with --algorithm tacgm",
                 ));
@@ -415,26 +319,152 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let unsupported = [
                 ("threads", threads > 1),
                 ("shards", shards > 0),
-                ("filter", args.get("filter").is_some()),
+                ("filter", filter.is_some()),
             ];
             if let Some((flag, _)) = unsupported.iter().find(|(_, given)| *given) {
-                return Err(err(format!("--{flag} is not supported with --algorithm tacgm")));
+                return Err(err(format!(
+                    "--{flag} is not supported with --algorithm tacgm"
+                )));
             }
-            let mut cfg = tsg_tacgm::TacgmConfig::with_threshold(theta);
-            cfg.max_edges = max_edges;
-            let r = tsg_tacgm::mine(&db, &taxonomy, &cfg).map_err(|e| err(e.to_string()))?;
-            for p in &r.patterns {
-                print_pattern(out, &p.graph, p.support_count, db.len(), &names)?;
-            }
-            writeln!(
-                out,
-                "# {} patterns, {} candidates generated",
-                r.patterns.len(),
-                r.stats.candidates
-            )?;
-            r.patterns.len()
         }
         other => return Err(err(format!("unknown --algorithm {other:?}"))),
+    }
+    let (names, taxonomy, db) = load_inputs(args)?;
+    let started = std::time::Instant::now();
+    let printed = if algorithm == "taxogram" {
+        let mut cfg = if args.get("baseline") == Some("true") {
+            taxogram_core::TaxogramConfig::baseline(theta)
+        } else {
+            taxogram_core::TaxogramConfig::with_threshold(theta)
+        };
+        cfg.max_edges = max_edges;
+        // --shards > 0 spills the database and mines it out of core;
+        // otherwise threads > 1 uses the streaming pipelined engine
+        // (Step 2 and Step 3 overlapped) and threads <= 1 the serial
+        // miner. Governance flags route through the governed entry
+        // points and surface the termination report as a comment
+        // line; a sharded run always reports it.
+        let (r, termination, shard_stats) = if shards > 0 {
+            let opts = taxogram_core::ShardOptions {
+                shards,
+                threads: threads.max(1),
+                spill_dir: args.get("spill-dir").map(std::path::PathBuf::from),
+                ..Default::default()
+            };
+            let outcome = match &govern {
+                Some(govern) => {
+                    taxogram_core::mine_sharded_governed(&cfg, &db, &taxonomy, &opts, govern)
+                }
+                None => taxogram_core::mine_sharded(&cfg, &db, &taxonomy, &opts),
+            }
+            .map_err(|e| err(e.to_string()))?;
+            (
+                outcome.result,
+                Some(outcome.termination),
+                Some(outcome.shard_stats),
+            )
+        } else if let Some(govern) = &govern {
+            let outcome = taxogram_core::mine_pipelined_governed(
+                &cfg,
+                &db,
+                &taxonomy,
+                taxogram_core::PipelineOptions {
+                    threads,
+                    ..Default::default()
+                },
+                govern,
+            )
+            .map_err(|e| err(e.to_string()))?;
+            (outcome.result, Some(outcome.termination), None)
+        } else {
+            let r = taxogram_core::mine_pipelined(&cfg, &db, &taxonomy, threads)
+                .map_err(|e| err(e.to_string()))?;
+            (r, None, None)
+        };
+        // Optional post-filters on the minimal pattern set.
+        let selected: Vec<&taxogram_core::Pattern> = match filter {
+            None => r.sorted_patterns(),
+            Some(Filter::Closed) => {
+                taxogram_core::postprocess::closed_patterns(&r.patterns, &taxonomy)
+            }
+            Some(Filter::Maximal) => {
+                taxogram_core::postprocess::maximal_patterns(&r.patterns, &taxonomy)
+            }
+            Some(Filter::Interesting(factor)) => {
+                taxogram_core::interest::r_interesting(&r.patterns, &db, &taxonomy, factor)
+                    .into_iter()
+                    .map(|(p, _)| p)
+                    .collect()
+            }
+        };
+        if let Some(dir) = args.get("dot-dir") {
+            let dir = std::path::Path::new(dir);
+            std::fs::create_dir_all(dir)?;
+            for (i, p) in selected.iter().enumerate().take(100) {
+                let dot = tsg_graph::dot::to_dot(&p.graph, &format!("pattern_{i}"), Some(&names));
+                std::fs::write(dir.join(format!("pattern_{i:03}.dot")), dot)?;
+            }
+        }
+        for p in &selected {
+            print_pattern(out, &p.graph, p.support_count, db.len(), &names)?;
+        }
+        writeln!(
+            out,
+            "# {} of {} patterns after filter, {} classes, {} occurrence-index updates",
+            selected.len(),
+            r.patterns.len(),
+            r.stats.classes,
+            r.stats.oi_updates
+        )?;
+        // Counts only, no times: the step 2 and step 3 lines are
+        // identical across runs and across the serial, pipelined and
+        // sharded engines.
+        let g = &r.stats.gspan;
+        writeln!(
+            out,
+            "# step 2: {} extension keys, {} infrequent, {} non-minimal, {} embeddings grown",
+            g.keys_counted, g.infrequent, g.non_minimal, g.embeddings_grown
+        )?;
+        let e = &r.stats.enumeration;
+        writeln!(
+            out,
+            "# step 3: {} vectors, {} intersections, {} over-generalized",
+            e.vectors_visited, e.intersections, e.overgeneralized
+        )?;
+        if let Some(s) = &shard_stats {
+            writeln!(
+                out,
+                "# {} patterns from {} shards ({} bytes spilled / largest shard {}, \
+                 {} db streams)",
+                r.patterns.len(),
+                s.shards,
+                s.spilled_bytes,
+                s.largest_shard_bytes,
+                s.db_streams
+            )?;
+        }
+        if let Some(t) = &termination {
+            writeln!(
+                out,
+                "# termination: {} ({} classes finished, {} abandoned)",
+                t.reason, t.classes_finished, t.classes_abandoned
+            )?;
+        }
+        selected.len()
+    } else {
+        let mut cfg = tsg_tacgm::TacgmConfig::with_threshold(theta);
+        cfg.max_edges = max_edges;
+        let r = tsg_tacgm::mine(&db, &taxonomy, &cfg).map_err(|e| err(e.to_string()))?;
+        for p in &r.patterns {
+            print_pattern(out, &p.graph, p.support_count, db.len(), &names)?;
+        }
+        writeln!(
+            out,
+            "# {} patterns, {} candidates generated",
+            r.patterns.len(),
+            r.stats.candidates
+        )?;
+        r.patterns.len()
     };
     writeln!(
         out,
@@ -461,56 +491,25 @@ const MAX_SERVE_COUNT: usize = 1024;
 /// stdin is a terminal — ctrl-d — but a daemonized server whose stdin
 /// is `/dev/null` keeps running), or `--max-runtime-ms`.
 fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    // Every flag is checked before any input is read, so a bad value
+    // fails fast.
     let mut opts = tsg_serve::ServeOptions::default();
-    // Checked before any input is read, so a bad count fails fast.
-    let capped_count = |name: &str, dflt: usize| -> Result<usize, CliError> {
-        match args.get(name) {
-            Some(s) => s
-                .parse()
-                .ok()
-                .filter(|&n| n <= MAX_SERVE_COUNT)
-                .ok_or_else(|| {
-                    err(format!(
-                        "--{name} must be an integer of at most {MAX_SERVE_COUNT}"
-                    ))
-                }),
-            None => Ok(dflt),
-        }
-    };
-    opts.workers = capped_count("workers", opts.workers)?.max(1);
-    opts.queue_depth = capped_count("queue", opts.queue_depth)?.max(1);
-    opts.max_connections = capped_count("max-connections", opts.max_connections)?.max(1);
-    let (_names, taxonomy, db) = load_inputs(args)?;
-    let (graphs, concepts) = (db.len(), taxonomy.concept_count());
-    let parse_secs = |name: &str| -> Result<Option<std::time::Duration>, CliError> {
-        match args.get(name) {
-            Some(s) => s
-                .parse::<f64>()
-                .ok()
-                .filter(|v| *v >= 0.0 && v.is_finite())
-                .map(|v| Some(std::time::Duration::from_secs_f64(v)))
-                .ok_or_else(|| err(format!("--{name} must be a non-negative number of seconds"))),
-            None => Ok(None),
-        }
-    };
+    let count = |name: &str, dflt: usize| capped_count(args, name, MAX_SERVE_COUNT, dflt);
+    opts.workers = count("workers", opts.workers)?.max(1);
+    opts.queue_depth = count("queue", opts.queue_depth)?.max(1);
+    opts.max_connections = count("max-connections", opts.max_connections)?.max(1);
     if let Some(s) = args.get("cache") {
         opts.cache_entries = s
             .parse()
             .map_err(|_| err("--cache must be a non-negative integer (0 disables the cache)"))?;
     }
-    if let Some(d) = parse_secs("max-time-limit")? {
+    if let Some(d) = seconds(args, "max-time-limit")? {
         opts.max_time_limit = d;
     }
-    if let Some(d) = parse_secs("default-time-limit")? {
-        opts.default_time_limit = Some(d);
-    }
-    let max_runtime: Option<std::time::Duration> = match args.get("max-runtime-ms") {
-        Some(s) => Some(std::time::Duration::from_millis(
-            s.parse()
-                .map_err(|_| err("--max-runtime-ms must be an integer"))?,
-        )),
-        None => None,
-    };
+    opts.default_time_limit = seconds(args, "default-time-limit")?;
+    let max_runtime = integer(args, "max-runtime-ms")?.map(std::time::Duration::from_millis);
+    let (_names, taxonomy, db) = load_inputs(args)?;
+    let (graphs, concepts) = (db.len(), taxonomy.concept_count());
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
     let handle =
         tsg_serve::Server::bind(addr, db, taxonomy, opts.clone()).map_err(|e| err(e.to_string()))?;
@@ -707,6 +706,10 @@ mod tests {
         assert!(out.contains("--taxonomy"));
         let (code, _) = run_capture(&["mine", "--support"]);
         assert_eq!(code, 2);
+        // The next flag is never taken as a value.
+        let (code, out) = run_capture(&["mine", "--support", "--threads", "2"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("--support needs a value"), "{out}");
     }
 
     #[test]
@@ -860,8 +863,6 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{shard_out}");
         assert!(shard_out.contains("shards"), "{shard_out}");
-        assert!(shard_out.contains("bound-pruned"), "{shard_out}");
-        assert!(shard_out.contains("recounts"), "{shard_out}");
         assert!(shard_out.contains("# termination: completed"), "{shard_out}");
         assert_eq!(
             pattern_lines(&serial_out),
@@ -965,8 +966,8 @@ mod tests {
         assert_eq!(step_line("3", &sharded), Some(serial));
         let serial = step_line("2", &[]).expect("serial step 2 line");
         assert!(!serial.contains("# step 2: 0 extension keys"), "{serial}");
-        assert_eq!(step_line("2", &["--threads", "2"]), Some(serial));
-        assert_eq!(step_line("2", &sharded), None);
+        assert_eq!(step_line("2", &["--threads", "2"]), Some(serial.clone()));
+        assert_eq!(step_line("2", &sharded), Some(serial));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1179,6 +1180,26 @@ mod tests {
         assert!(out.contains("drained clean"), "{out}");
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mine_checks_every_flag_before_reading_inputs() {
+        // The input files do not exist, so each error must name the bad
+        // flag, not the missing file.
+        for (flag, bad) in [
+            ("--support", &["--support", "--max-edges", "3"][..]),
+            ("--support", &["--support", "1.5"]),
+            ("--max-edges", &["--support", "0.4", "--max-edges", "x"]),
+            ("--filter", &["--support", "0.4", "--filter", "open"]),
+            ("--time-limit", &["--support", "0.4", "--time-limit", "-2"]),
+            ("--shards", &["--support", "0.4", "--algorithm", "tacgm", "--shards", "2"]),
+        ] {
+            let mut args = vec!["mine", "--taxonomy", "/nonexistent", "--database", "/nonexistent"];
+            args.extend(bad);
+            let (code, out) = run_capture(&args);
+            assert_eq!(code, 2, "{out}");
+            assert!(out.contains(flag), "{bad:?}: {out}");
+        }
     }
 
     #[test]
