@@ -72,7 +72,7 @@ fn main() {
     println!("]");
     for row in &rows {
         eprintln!(
-            "# {} concepts, {}‰ cross-links: build {:.1} ms, closures {:.2} MB (dense equivalent {:.1} GB), is_ancestor {:.2} ns (chain {:.2} ns), hot closure query {:.1} ns",
+            "# {} concepts, {}‰ cross-links: build {:.1} ms, closures {:.2} MB (dense equivalent {:.1} GB), is_ancestor {:.2} ns (chain {:.2} ns), closure query {:.1} ns",
             row.concepts,
             row.cross_links_per_mille,
             row.build_ms,

@@ -37,7 +37,7 @@ pub struct TaxScaleRow {
     /// Mean `is_ancestor` cost over true ancestor/descendant chain
     /// pairs (positive interval containment).
     pub is_ancestor_chain_ns: f64,
-    /// Mean memo-hit `ancestors()` query cost (hot-label closure view).
+    /// Mean `ancestors()` query cost: one closure materialized per call.
     pub closure_query_ns: f64,
 }
 
@@ -109,8 +109,8 @@ pub fn measure(concepts: usize, cross_links_per_mille: u32, seed: u64) -> TaxSca
     let is_ancestor_ns = time_pairs(&random_pairs, 500);
     let is_ancestor_chain_ns = time_pairs(&chain_pairs, 500);
 
-    // Hot closure queries: a small working set of labels, as the OI
-    // build produces — first touch materializes, the rest hit the memo.
+    // Closure queries over a small working set of labels, as TAcGM's
+    // candidate generation asks them; each call builds its closure.
     let hot: Vec<NodeLabel> = (0..64).map(|_| NodeLabel((next() % concepts as u64) as u32)).collect();
     for &l in &hot {
         std::hint::black_box(t.ancestors(l).len());

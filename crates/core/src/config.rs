@@ -67,6 +67,8 @@ pub struct TaxogramConfig {
     /// at least `⌈θ·|D|⌉` distinct graphs (and always at least one).
     pub threshold: f64,
     /// Optional cap on pattern size in edges (unlimited when `None`).
+    /// The 1-edge seeds are always reported, so `Some(0)` mines as
+    /// `Some(1)`; the CLI and serve reject 0.
     pub max_edges: Option<usize>,
     /// Enhancement toggles.
     pub enhancements: Enhancements,

@@ -27,7 +27,7 @@
 
 use crate::miner::Pattern;
 use tsg_graph::GraphDatabase;
-use tsg_iso::{contains_subgraph_cached, BatchedMatcher, GeneralizedMatcher};
+use tsg_iso::{support_count, GeneralizedMatcher};
 use tsg_taxonomy::Taxonomy;
 
 /// The interest analysis of one pattern.
@@ -57,10 +57,6 @@ pub fn score_pattern(
     label_freq: &[usize],
 ) -> InterestScore {
     let matcher = GeneralizedMatcher::new(taxonomy);
-    // All generalizations of this pattern share the database index;
-    // their labels differ by one ancestor at a time, so the per-label
-    // candidate sets are nearly all cache hits.
-    let batched = BatchedMatcher::new(db, &matcher);
     let mut min_ratio: Option<f64> = None;
     for (i, &l) in pattern.graph.labels().iter().enumerate() {
         for &parent in taxonomy.parents(l) {
@@ -74,11 +70,7 @@ pub fn score_pattern(
             }
             let mut gen = pattern.graph.clone();
             gen.set_label(i, parent);
-            let gen_sup = batched
-                .caches()
-                .iter()
-                .filter(|c| contains_subgraph_cached(&gen, c))
-                .count() as f64;
+            let gen_sup = support_count(&gen, db, &matcher) as f64;
             if gen_sup == 0.0 {
                 continue;
             }

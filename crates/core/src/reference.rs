@@ -21,7 +21,7 @@
 // tsg-lint: allow(index) — the reference oracle enumerates masks and position maps over its own small vectors
 
 use tsg_graph::{GraphDatabase, LabeledGraph, NodeLabel};
-use tsg_iso::{is_gen_iso, is_isomorphic, BatchedMatcher, GeneralizedMatcher};
+use tsg_iso::{is_gen_iso, is_isomorphic, support_count, GeneralizedMatcher};
 use tsg_taxonomy::Taxonomy;
 
 /// Mines all frequent, non-over-generalized patterns by brute force.
@@ -64,14 +64,11 @@ pub fn reference_mine(
         }
     }
 
-    // 2. Frequency. One candidate-set index over the database serves
-    //    every recount; generalized candidates reuse cached label sets
-    //    heavily (ancestor combinations repeat the same few labels).
-    let batched = BatchedMatcher::new(db, &matcher);
+    // 2. Frequency: a generalized support recount per candidate.
     let frequent: Vec<(LabeledGraph, usize)> = candidates
         .into_iter()
         .filter_map(|p| {
-            let sup = batched.support_count(&p);
+            let sup = support_count(&p, db, &matcher);
             (sup >= min_support).then_some((p, sup))
         })
         .collect();

@@ -25,7 +25,7 @@ pub struct Relabeled {
     /// added if unification was necessary. All later stages must use this
     /// one (concept ids are a superset of the input's). Shared behind an
     /// `Arc` so cloning a `Relabeled` (the parallel engines fan one out
-    /// per worker) shares the closure memo instead of duplicating it.
+    /// per worker) shares the taxonomy instead of duplicating it.
     pub taxonomy: Arc<Taxonomy>,
 }
 

@@ -15,7 +15,8 @@ pub struct GSpanConfig {
     /// (the paper's `θ·|D|`, as an absolute count, rounded up).
     pub min_support: usize,
     /// Optional cap on pattern edge count (patterns larger than this are
-    /// neither reported nor grown).
+    /// neither reported nor grown). The 1-edge seeds are always reported,
+    /// so `Some(0)` mines as `Some(1)`.
     pub max_edges: Option<usize>,
 }
 

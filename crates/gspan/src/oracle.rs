@@ -10,7 +10,7 @@
 // tsg-lint: allow(index) — mask bits enumerate the oracle's own edge list
 
 use tsg_graph::{GraphDatabase, LabeledGraph};
-use tsg_iso::{is_isomorphic, BatchedMatcher, ExactMatcher};
+use tsg_iso::{is_isomorphic, support_count, ExactMatcher};
 
 /// All frequent connected patterns (with ≥ 1 edge, up to `max_edges`) of
 /// `db` with support ≥ `min_support` distinct graphs, one representative
@@ -41,13 +41,9 @@ pub fn brute_force_frequent(
             }
         }
     }
-    // One candidate-set index over the database, shared by every
-    // recount — the oracle's support loop is exactly the
-    // many-patterns-per-target shape the batched matcher amortizes.
-    let batched = BatchedMatcher::new(db, &ExactMatcher);
     reps.into_iter()
         .filter_map(|p| {
-            let sup = batched.support_count(&p);
+            let sup = support_count(&p, db, &ExactMatcher);
             (sup >= min_support).then_some((p, sup))
         })
         .collect()

@@ -16,27 +16,16 @@
 //! provides exact matching (ordinary subgraph isomorphism, as used by the
 //! gSpan substrate and by test oracles) and generalized matching (as used
 //! by the TAcGM baseline and the brute-force reference miner).
-//!
-//! When one target is matched against many patterns, a
-//! [`CandidateCache`] (or a database-wide [`BatchedMatcher`]) batches
-//! the per-label candidate-set computation across all of them: the
-//! `*_cached` entry points produce byte-identical embeddings while
-//! reading candidate sets — and their cardinalities, for selectivity
-//! ordering — from dense vertex bitsets built once per target label.
 
 mod automorphism;
-mod candidates;
 mod matcher;
 mod subiso;
 
 pub use automorphism::{
-    automorphism_count, automorphisms, canonical_under_automorphisms,
-    canonical_under_automorphisms_into,
+    automorphisms, canonical_under_automorphisms, canonical_under_automorphisms_into,
 };
-pub use candidates::{BatchedMatcher, CandidateCache};
 pub use matcher::{ExactMatcher, GeneralizedMatcher, LabelMatcher};
 pub use subiso::{
-    contains_subgraph, contains_subgraph_cached, count_embeddings, enumerate_embeddings,
-    enumerate_embeddings_cached, find_embedding, is_gen_iso, is_isomorphic, support_count,
-    Embedding,
+    contains_subgraph, count_embeddings, enumerate_embeddings, find_embedding, is_gen_iso,
+    is_isomorphic, support_count, Embedding,
 };

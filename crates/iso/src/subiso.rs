@@ -2,11 +2,8 @@
 
 // tsg-lint: allow(index) — all search-state vectors are sized n and vertices range over 0..n
 
-use crate::candidates::CandidateCache;
 use crate::{ExactMatcher, GeneralizedMatcher, LabelMatcher};
 use std::ops::ControlFlow;
-use std::rc::Rc;
-use tsg_bitset::BitSet;
 use tsg_graph::{GraphDatabase, LabeledGraph, NodeId};
 use tsg_taxonomy::Taxonomy;
 
@@ -39,7 +36,6 @@ fn matching_order<M: LabelMatcher>(
     // Matcher-compatible target-vertex count per pattern vertex. The
     // O(|V_P|·|V_T|) scan is amortized by the search it steers: one
     // infeasible component start costs a full target scan per attempt.
-    // (The cached path gets the same counts from container metadata.)
     let mut candidates = vec![0usize; n];
     for (p, slot) in candidates.iter_mut().enumerate() {
         let lp = pattern.label(p);
@@ -50,13 +46,6 @@ fn matching_order<M: LabelMatcher>(
             return None;
         }
     }
-    Some(order_from_counts(pattern, &candidates))
-}
-
-/// The ordering rule shared by the scanning and cached paths, given the
-/// per-pattern-vertex candidate counts (all nonzero).
-fn order_from_counts(pattern: &LabeledGraph, candidates: &[usize]) -> Vec<NodeId> {
-    let n = pattern.node_count();
     let mut order = Vec::with_capacity(n);
     let mut placed = vec![false; n];
     while order.len() < n {
@@ -76,16 +65,7 @@ fn order_from_counts(pattern: &LabeledGraph, candidates: &[usize]) -> Vec<NodeId
             }
         }
     }
-    order
-}
-
-/// Where a component start finds its candidate vertices: the plain path
-/// scans every target vertex; the batched path iterates the pattern
-/// vertex's cached candidate set. Both visit candidates in ascending
-/// vertex order, so the embedding stream is identical.
-enum CandidateSource {
-    Scan,
-    Sets(Vec<Rc<BitSet>>),
+    Some(order)
 }
 
 struct Searcher<'a, M: LabelMatcher, F: FnMut(&[NodeId]) -> ControlFlow<()>> {
@@ -93,7 +73,6 @@ struct Searcher<'a, M: LabelMatcher, F: FnMut(&[NodeId]) -> ControlFlow<()>> {
     target: &'a LabeledGraph,
     matcher: &'a M,
     order: Vec<NodeId>,
-    candidates: CandidateSource,
     /// `map[p]` = target vertex for pattern vertex `p`, or `usize::MAX`.
     map: Vec<NodeId>,
     used: Vec<bool>,
@@ -158,25 +137,13 @@ impl<M: LabelMatcher, F: FnMut(&[NodeId]) -> ControlFlow<()>> Searcher<'_, M, F>
                     }
                 }
             }
-            None => match &self.candidates {
-                CandidateSource::Scan => {
-                    for t in 0..self.target.node_count() {
-                        if self.feasible(p, t) {
-                            self.assign(p, t, depth)?;
-                        }
+            None => {
+                for t in 0..self.target.node_count() {
+                    if self.feasible(p, t) {
+                        self.assign(p, t, depth)?;
                     }
                 }
-                CandidateSource::Sets(sets) => {
-                    // Rc-detach the set so iterating it doesn't hold a
-                    // borrow of `self` across the recursive assign.
-                    let set = Rc::clone(&sets[p]);
-                    for t in set.iter() {
-                        if self.feasible(p, t) {
-                            self.assign(p, t, depth)?;
-                        }
-                    }
-                }
-            },
+            }
         }
         ControlFlow::Continue(())
     }
@@ -227,75 +194,11 @@ pub fn enumerate_embeddings<M: LabelMatcher>(
         target,
         matcher,
         order,
-        candidates: CandidateSource::Scan,
         map: vec![usize::MAX; pattern.node_count()],
         used: vec![false; target.node_count()],
         visit,
     };
     let _ = s.search(0);
-}
-
-/// [`enumerate_embeddings`] through a [`CandidateCache`]: candidate sets
-/// come from the cache (computed once per distinct pattern label over
-/// the cache's lifetime), selectivity ordering counts their members, and
-/// component starts iterate the candidate set instead of scanning every
-/// target vertex. Produces the same embeddings in the same order as the
-/// plain path.
-pub fn enumerate_embeddings_cached<M: LabelMatcher>(
-    pattern: &LabeledGraph,
-    cache: &CandidateCache<'_, M>,
-    visit: impl FnMut(&[NodeId]) -> ControlFlow<()>,
-) {
-    let target = cache.target();
-    debug_assert_eq!(
-        pattern.is_directed(),
-        target.is_directed(),
-        "pattern and target must agree on directedness"
-    );
-    if pattern.node_count() > target.node_count() || pattern.edge_count() > target.edge_count() {
-        return;
-    }
-    if pattern.node_count() == 0 {
-        let mut visit = visit;
-        let _ = visit(&[]);
-        return;
-    }
-    let n = pattern.node_count();
-    let mut sets = Vec::with_capacity(n);
-    let mut counts = Vec::with_capacity(n);
-    for p in 0..n {
-        let set = cache.candidates(pattern.label(p));
-        if set.is_empty() {
-            return; // no compatible target vertex for this pattern vertex
-        }
-        counts.push(set.count_ones());
-        sets.push(set);
-    }
-    let order = order_from_counts(pattern, &counts);
-    let mut s = Searcher {
-        pattern,
-        target,
-        matcher: cache.matcher(),
-        order,
-        candidates: CandidateSource::Sets(sets),
-        map: vec![usize::MAX; n],
-        used: vec![false; target.node_count()],
-        visit,
-    };
-    let _ = s.search(0);
-}
-
-/// [`contains_subgraph`] through a [`CandidateCache`].
-pub fn contains_subgraph_cached<M: LabelMatcher>(
-    pattern: &LabeledGraph,
-    cache: &CandidateCache<'_, M>,
-) -> bool {
-    let mut found = false;
-    enumerate_embeddings_cached(pattern, cache, |_| {
-        found = true;
-        ControlFlow::Break(())
-    });
-    found
 }
 
 /// The first embedding of `pattern` into `target`, if any.
@@ -578,74 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_path_is_byte_identical_to_plain_path() {
-        let tax = taxonomy_from_edges(4, [(1, 0), (2, 0), (3, 1)]).unwrap();
-        let gm = GeneralizedMatcher::new(&tax);
-        // A 5-vertex ring fits one bitset word; the 130-vertex ring makes
-        // every candidate set span three.
-        let ring = |n: usize| {
-            let mut g = LabeledGraph::with_nodes((0..n).map(|i| nl([1, 2, 3, 1, 2][i % 5])));
-            for i in 0..n {
-                g.add_edge(i, (i + 1) % n, el(i as u32 % 2)).unwrap();
-            }
-            g
-        };
-        let patterns = vec![
-            path(&[0, 0], &[0]),
-            path(&[1, 0, 2], &[0, 1]),
-            path(&[0, 0, 0], &[0, 0]),
-            path(&[3, 1], &[1]),
-        ];
-        for target in [ring(5), ring(130)] {
-            let cache = crate::candidates::CandidateCache::new(&target, &gm);
-            let mut top = 0;
-            for p in &patterns {
-                // Same embeddings in the same order, not just the same set.
-                let mut plain: Vec<Embedding> = vec![];
-                enumerate_embeddings(p, &target, &gm, |e| {
-                    plain.push(e.to_vec());
-                    ControlFlow::Continue(())
-                });
-                let mut cached: Vec<Embedding> = vec![];
-                enumerate_embeddings_cached(p, &cache, |e| {
-                    cached.push(e.to_vec());
-                    ControlFlow::Continue(())
-                });
-                assert_eq!(plain, cached, "pattern {p:?}");
-                top = cached.iter().flatten().fold(top, |m, &v| m.max(v));
-                assert_eq!(
-                    contains_subgraph(p, &target, &gm),
-                    contains_subgraph_cached(p, &cache)
-                );
-            }
-            assert_eq!(
-                top,
-                target.node_count() - 1,
-                "embeddings reach the last word"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_support_matches_plain_support() {
-        let tax = taxonomy_from_edges(4, [(1, 0), (2, 0), (3, 1)]).unwrap();
-        let gm = GeneralizedMatcher::new(&tax);
-        let db = GraphDatabase::from_graphs(vec![
-            path(&[1, 2, 1], &[0, 0]),
-            path(&[3, 1], &[0]),
-            path(&[2, 3, 2], &[0, 0]),
-        ]);
-        let batched = crate::candidates::BatchedMatcher::new(&db, &gm);
-        for p in [path(&[0, 0], &[0]), path(&[1, 0], &[0]), path(&[0, 2], &[0])] {
-            assert_eq!(
-                batched.support_count(&p),
-                support_count(&p, &db, &gm),
-                "pattern {p:?}"
-            );
-        }
-    }
-
-    #[test]
     fn matches_brute_force_on_assorted_cases() {
         let tax = taxonomy_from_edges(4, [(1, 0), (2, 0), (3, 1)]).unwrap();
         let cases: Vec<(LabeledGraph, LabeledGraph)> = vec![
@@ -749,7 +584,7 @@ mod directed_tests {
         g.add_edge(0, 1, el(0)).unwrap();
         g.add_edge(1, 2, el(0)).unwrap();
         g.add_edge(2, 0, el(0)).unwrap();
-        assert_eq!(crate::automorphism_count(&g), 3);
+        assert_eq!(crate::automorphisms(&g).len(), 3);
     }
 
     #[test]

@@ -187,6 +187,10 @@ fn parse_mine(v: &Json) -> Result<MineRequest, (ErrorCode, String)> {
                 .ok_or_else(|| bad(&format!("\"{key}\" must be a boolean"))),
         }
     };
+    let max_edges = match uint("max_edges")? {
+        Some(0) => return Err(bad("\"max_edges\" must be at least 1")),
+        m => m.map(|n| n as usize),
+    };
     let time_limit = match uint("time_limit_ms")? {
         Some(ms) if ms > MAX_REQUEST_TIME_LIMIT_MS => {
             return Err(bad("\"time_limit_ms\" is absurdly large"))
@@ -197,7 +201,7 @@ fn parse_mine(v: &Json) -> Result<MineRequest, (ErrorCode, String)> {
     Ok(MineRequest {
         id,
         theta,
-        max_edges: uint("max_edges")?.map(|n| n as usize),
+        max_edges,
         baseline: flag("baseline")?,
         time_limit,
         max_patterns: uint("max_patterns")?.map(|n| n as usize),
@@ -479,6 +483,7 @@ mod tests {
             (r#"{"op":"mine","theta":1.5}"#, ErrorCode::BadRequest),
             (r#"{"op":"mine","theta":-0.1}"#, ErrorCode::BadRequest),
             (r#"{"op":"mine","theta":0.5,"max_edges":-2}"#, ErrorCode::BadRequest),
+            (r#"{"op":"mine","theta":0.5,"max_edges":0}"#, ErrorCode::BadRequest),
             (r#"{"op":"mine","theta":0.5,"id":7}"#, ErrorCode::BadRequest),
             (r#"{"op":"mine","theta":0.5,"no_cache":"yes"}"#, ErrorCode::BadRequest),
             (r#"{"op":"explode"}"#, ErrorCode::BadRequest),

@@ -29,7 +29,7 @@
 
 // tsg-lint: allow(index) — candidate and embedding tables are indexed by dense ids the mining loop itself issues
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use tsg_graph::{EdgeLabel, GraphDatabase, LabeledGraph, NodeId, NodeLabel};
 use tsg_gspan::Embedding;
 use tsg_iso::{is_gen_iso, is_isomorphic};
@@ -283,7 +283,10 @@ pub fn mine(
 ///
 /// Extensions are grouped by `(label_a, edge label, label_b)` before
 /// touching the candidate pool, so graph construction and slot lookup
-/// happen once per candidate pattern instead of once per embedding.
+/// happen once per candidate pattern instead of once per embedding. The
+/// groups are visited in key order: the first group of an isomorphism
+/// class becomes its printed representative, so the order must not
+/// depend on hashing.
 fn seed_level(
     db: &GraphDatabase,
     taxonomy: &Taxonomy,
@@ -292,7 +295,7 @@ fn seed_level(
     budget: Option<usize>,
     stats: &mut TacgmStats,
 ) -> Result<Vec<Entry>, TacgmError> {
-    let mut groups: HashMap<(u32, EdgeLabel, u32), Vec<Embedding>> = HashMap::new();
+    let mut groups: BTreeMap<(u32, EdgeLabel, u32), Vec<Embedding>> = BTreeMap::new();
     for (gid, g) in db.iter() {
         for (eid, e) in g.edges().iter().enumerate() {
             for (a, b) in [(e.u, e.v), (e.v, e.u)] {
@@ -331,8 +334,9 @@ fn seed_level(
 
 /// An extension of a fixed parent pattern, before labels are applied:
 /// forward (`to == usize::MAX`, with a generalized label for the fresh
-/// node) or backward (between two mapped pattern nodes).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// node) or backward (between two mapped pattern nodes). Ordered so each
+/// parent's extensions reach the candidate pool in a fixed order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct ExtSpec {
     from: usize,
     /// `usize::MAX` for forward extensions.
@@ -358,8 +362,8 @@ fn extend_level(
     let mut candidates = CandidateSet::default();
     for entry in level {
         // Group grown embeddings by extension spec; one pattern graph and
-        // one pool insertion per spec.
-        let mut groups: HashMap<ExtSpec, Vec<Embedding>> = HashMap::new();
+        // one pool insertion per spec, in spec order.
+        let mut groups: BTreeMap<ExtSpec, Vec<Embedding>> = BTreeMap::new();
         for emb in &entry.embeddings {
             let g = db.graph(emb.gid);
             for (pnode, &gnode) in emb.map.iter().enumerate() {
@@ -610,6 +614,25 @@ mod tests {
         let db = GraphDatabase::new();
         let err = mine(&db, &t, &TacgmConfig::with_threshold(-1.0)).unwrap_err();
         assert!(matches!(err, TacgmError::InvalidThreshold { .. }));
+    }
+
+    #[test]
+    fn output_is_identical_across_runs() {
+        // Every isomorphism class's printed representative is the first
+        // candidate grouped into it, so the grouping order must not vary
+        // between runs (each hash map gets its own random seed).
+        let (c, t) = samples::sample_taxonomy();
+        let db = samples::figure_1_4_database(&c);
+        let cfg = TacgmConfig::with_threshold(1.0 / 3.0);
+        let run = || -> Vec<(LabeledGraph, usize)> {
+            let r = mine(&db, &t, &cfg).unwrap();
+            r.patterns.into_iter().map(|p| (p.graph, p.support_count)).collect()
+        };
+        let first = run();
+        assert!(first.len() > 1);
+        for _ in 0..4 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

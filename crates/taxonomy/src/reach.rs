@@ -18,22 +18,21 @@
 //!
 //! Storage is `O(n + cross-links·affected-depth)` instead of `O(n²)`;
 //! `is_ancestor` is O(1) on the tree path and O(|extra|) otherwise.
-//! Full closures ([`Closure`]) are materialized lazily by walking tree
-//! parent chains, and memoized per taxonomy in a bounded FIFO cache
-//! ([`ClosureMemo`]) keyed by concept — its clients (TAcGM and the
-//! reference miner) ask for the same few database labels over and over.
+//! Full closures ([`Closure`]) are materialized on each call by walking
+//! tree parent chains. Nothing is cached: their callers (TAcGM, the
+//! reference miner, datagen) run as fast without a cache.
 
 // tsg-lint: allow(index) — CSR offsets and interval labels are built consistent with the concept count, and traversals index only by ids the structure itself issued
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex}; // tsg-lint: allow(facade) — crate layering: tsg-taxonomy sits below the facade crate (taxogram-core depends on it); the closure-memo lock is a leaf cache with no cross-thread protocol
+use std::collections::HashMap;
+use std::sync::Arc;
 use tsg_graph::NodeLabel;
 
 /// Sentinel for "no tree parent / absent concept" in the u32 arrays.
 const NONE: u32 = u32::MAX;
 
 /// A lazily materialized, immutable closure (ancestor or descendant) set:
-/// sorted concept ids behind an `Arc`, so memo hits and clones are free.
+/// sorted concept ids behind an `Arc`, so clones are free.
 ///
 /// This is the value type [`crate::Taxonomy::ancestors`] and
 /// [`crate::Taxonomy::descendants`] return; iteration order is ascending
@@ -92,11 +91,6 @@ impl Closure {
     /// The members as a sorted `Vec<usize>` (the old bitset debug shape).
     pub fn to_vec(&self) -> Vec<usize> {
         self.iter().collect()
-    }
-
-    /// Heap bytes held by the id storage.
-    pub fn heap_bytes(&self) -> usize {
-        self.ids.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -472,81 +466,5 @@ impl Reachability {
             + self.extra_rank.len())
             * 4
             + self.has_extra.len() * 8
-    }
-}
-
-/// Bounded memo for materialized closures, shared behind `&Taxonomy`.
-///
-/// Its remaining clients are TAcGM's candidate generation (ancestor
-/// closures of database labels) and the brute-force reference miner;
-/// Taxogram's label frequencies and occurrence-index build walk parent
-/// edges instead. Those clients
-/// ask for a few database labels over and over, so FIFO eviction over a
-/// byte budget suffices — the bound only has to keep a 10⁶-concept
-/// taxonomy from accumulating gigabytes of closures.
-pub(crate) struct ClosureMemo {
-    inner: Mutex<MemoInner>,
-}
-
-#[derive(Default)]
-struct MemoInner {
-    map: HashMap<u64, Closure>,
-    queue: VecDeque<u64>,
-    bytes: usize,
-}
-
-/// Memo byte budget. 16 MB holds every closure of any realistic mining
-/// label set while bounding worst-case resident memory on huge inputs.
-const MEMO_BYTE_CAP: usize = 16 << 20;
-
-#[inline]
-fn memo_key(descendants: bool, id: u32) -> u64 {
-    (u64::from(descendants) << 32) | u64::from(id)
-}
-
-impl ClosureMemo {
-    pub(crate) fn new() -> ClosureMemo {
-        ClosureMemo {
-            inner: Mutex::new(MemoInner::default()),
-        }
-    }
-
-    /// Cached closure for `(descendants?, id)`, if present.
-    pub(crate) fn get(&self, descendants: bool, id: u32) -> Option<Closure> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.map.get(&memo_key(descendants, id)).cloned()
-    }
-
-    /// Inserts a freshly computed closure, evicting oldest entries past
-    /// the byte budget. Races between readers recompute harmlessly — the
-    /// closure content is a pure function of the taxonomy.
-    pub(crate) fn put(&self, descendants: bool, id: u32, closure: &Closure) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let key = memo_key(descendants, id);
-        if inner.map.contains_key(&key) {
-            return;
-        }
-        inner.bytes += closure.heap_bytes();
-        inner.map.insert(key, closure.clone());
-        inner.queue.push_back(key);
-        while inner.bytes > MEMO_BYTE_CAP {
-            let Some(old) = inner.queue.pop_front() else {
-                break;
-            };
-            if let Some(evicted) = inner.map.remove(&old) {
-                inner.bytes -= evicted.heap_bytes();
-            }
-        }
-    }
-
-    /// Current resident bytes of memoized closures.
-    pub(crate) fn bytes(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).bytes
-    }
-}
-
-impl std::fmt::Debug for ClosureMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClosureMemo").field("bytes", &self.bytes()).finish()
     }
 }

@@ -2,7 +2,7 @@
 
 // tsg-lint: allow(index) — closure, depth, and relation tables are all sized to the concept count, and concept ids are validated at the builder boundary
 
-use crate::reach::{Closure, ClosureMemo, Csr, Reachability};
+use crate::reach::{Closure, Csr, Reachability};
 use crate::TaxonomyError;
 use std::sync::atomic::{AtomicU64, Ordering}; // tsg-lint: allow(facade) — crate layering: tsg-taxonomy sits below the facade crate; the id counter is a process-wide ticket with no cross-thread protocol
 use tsg_bitset::BitSet;
@@ -18,7 +18,7 @@ use tsg_graph::{GraphDatabase, NodeLabel};
 /// `O(n²)`-bit closure matrix, which is what lets a 10⁶-concept ontology
 /// fit in tens of megabytes. [`Taxonomy::ancestors`] and
 /// [`Taxonomy::descendants`] materialize sorted [`Closure`] views on
-/// demand, memoized per taxonomy under a fixed byte budget.
+/// demand.
 #[derive(Debug)]
 pub struct Taxonomy {
     parents: Csr,
@@ -33,9 +33,6 @@ pub struct Taxonomy {
     /// Presence mask for [`Taxonomy::restrict`]; absent concepts keep their
     /// ids but have no relations.
     present: Vec<bool>,
-    /// Bounded cache of materialized closures (not part of the value:
-    /// clones start with an empty memo).
-    memo: ClosureMemo,
     /// Process-unique identity, fresh on construction and on clone; see
     /// [`Taxonomy::id`].
     id: u64,
@@ -58,7 +55,6 @@ impl Clone for Taxonomy {
             roots: self.roots.clone(),
             artificial_from: self.artificial_from,
             present: self.present.clone(),
-            memo: ClosureMemo::new(),
             id: next_id(),
         }
     }
@@ -134,7 +130,6 @@ impl Taxonomy {
             roots,
             artificial_from,
             present,
-            memo: ClosureMemo::new(),
             id: next_id(),
         })
     }
@@ -188,18 +183,12 @@ impl Taxonomy {
     }
 
     /// The reflexive ancestor closure of `l` as a sorted [`Closure`] view,
-    /// materialized lazily and memoized for hot labels.
+    /// materialized on each call.
     pub fn ancestors(&self, l: NodeLabel) -> Closure {
         if !self.contains(l) {
             return Closure::empty();
         }
-        let id = l.0;
-        if let Some(c) = self.memo.get(false, id) {
-            return c;
-        }
-        let c = Closure::from_sorted(self.reach.ancestors_of(l.index()));
-        self.memo.put(false, id, &c);
-        c
+        Closure::from_sorted(self.reach.ancestors_of(l.index()))
     }
 
     /// The reflexive descendant closure of `l` as a sorted [`Closure`]
@@ -209,13 +198,7 @@ impl Taxonomy {
         if !self.contains(l) {
             return Closure::empty();
         }
-        let id = l.0;
-        if let Some(c) = self.memo.get(true, id) {
-            return c;
-        }
-        let c = Closure::from_sorted(self.reach.descendants_of(l.index()));
-        self.memo.put(true, id, &c);
-        c
+        Closure::from_sorted(self.reach.descendants_of(l.index()))
     }
 
     /// `true` iff `anc` is an ancestor of `desc` (reflexively, per the
@@ -489,15 +472,9 @@ impl Taxonomy {
 
     /// Resident bytes of the reachability labeling plus cross-link
     /// fallback sets — the structure that replaced the dense `O(n²)`-bit
-    /// closure matrix. Excludes the adjacency lists and the closure memo
-    /// (see [`Taxonomy::memo_bytes`]).
+    /// closure matrix. Excludes the adjacency lists.
     pub fn closure_bytes(&self) -> usize {
         self.reach.closure_bytes()
-    }
-
-    /// Current resident bytes of memoized [`Closure`] materializations.
-    pub fn memo_bytes(&self) -> usize {
-        self.memo.bytes()
     }
 
     /// Resident bytes of the parent/child adjacency lists.
@@ -684,19 +661,10 @@ mod tests {
         for c in t.concepts() {
             assert_eq!(t2.ancestors(c).to_vec(), t.ancestors(c).to_vec());
         }
-    }
-
-    #[test]
-    fn closure_memo_returns_identical_views() {
-        let t = tree();
-        let a1 = t.ancestors(l(3));
-        let a2 = t.ancestors(l(3));
-        assert_eq!(a1, a2);
-        assert!(t.memo_bytes() > 0, "second query served from the memo");
-        // Clones start with a cold memo but identical answers.
+        // A clone answers identically under a fresh identity.
         let c = t.clone();
-        assert_eq!(c.memo_bytes(), 0);
-        assert_eq!(c.ancestors(l(3)), a1);
+        assert_ne!(c.id(), t.id());
+        assert_eq!(c.ancestors(l(3)), t.ancestors(l(3)));
     }
 
     #[test]

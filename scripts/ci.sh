@@ -163,7 +163,9 @@ done
 # canonical parent, so its exact counters pin the orbit rule too. A run
 # over 7 shards must print the serial summary, Step 2 and Step 3 lines:
 # the sharded Pass 2 re-grows every automorphic embedding of a symmetric
-# skeleton, or Step 3's counters move.
+# skeleton, or Step 3's counters move. The post-filters and the TAcGM
+# comparator, the clients of subgraph isomorphism, are pinned by the
+# checksum of their pattern lines and their summary lines.
 echo "== D1000 s0.2 symmetric-skeleton pin (release mine, exact counters) =="
 d02_dir="$(mktemp -d)"
 cargo run --release -q -p taxogram -- generate --dataset D1000 --scale 0.2 \
@@ -177,6 +179,18 @@ d02_base_out="$(cargo run --release -q -p taxogram -- mine \
 d02_sharded_out="$(cargo run --release -q -p taxogram -- mine \
     --taxonomy "$d02_dir/taxonomy.txt" --database "$d02_dir/database.txt" \
     --support 0.1 --max-edges 5 --shards 7)"
+d02_closed_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$d02_dir/taxonomy.txt" --database "$d02_dir/database.txt" \
+    --support 0.1 --max-edges 5 --filter closed)"
+d02_maximal_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$d02_dir/taxonomy.txt" --database "$d02_dir/database.txt" \
+    --support 0.1 --max-edges 5 --filter maximal)"
+d02_interesting_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$d02_dir/taxonomy.txt" --database "$d02_dir/database.txt" \
+    --support 0.1 --max-edges 5 --filter interesting:1.1)"
+d02_tacgm_out="$(cargo run --release -q -p taxogram -- mine \
+    --taxonomy "$d02_dir/taxonomy.txt" --database "$d02_dir/database.txt" \
+    --support 0.3 --max-edges 3 --algorithm tacgm)"
 rm -rf "$d02_dir"
 grep -qxF '# 2272 of 2272 patterns after filter, 101 classes, 287322 occurrence-index updates' \
     <<<"$d02_out" || {
@@ -201,6 +215,34 @@ fi
 grep -qxF '# 2272 patterns from 7 shards (35752 bytes spilled / largest shard 5285, 17 db streams)' \
     <<<"$d02_sharded_out" || {
     echo "!! FAIL: D1000 s0.2 --shards 7 sharding counters differ from the pinned line" >&2
+    exit 1
+}
+[ "$(pattern_cksum "$d02_closed_out")" = '1676812393 112376' ] || {
+    echo "!! FAIL: D1000 s0.2 --filter closed pattern lines differ from the pinned checksum" >&2
+    exit 1
+}
+[ "$(pattern_cksum "$d02_maximal_out")" = '3522387050 37497' ] || {
+    echo "!! FAIL: D1000 s0.2 --filter maximal pattern lines differ from the pinned checksum" >&2
+    exit 1
+}
+grep -q '^# 713 of 2272 patterns after filter, ' <<<"$d02_maximal_out" || {
+    echo "!! FAIL: D1000 s0.2 --filter maximal did not keep 713 of 2272 patterns" >&2
+    exit 1
+}
+[ "$(pattern_cksum "$d02_interesting_out")" = '2214626261 6284' ] || {
+    echo "!! FAIL: D1000 s0.2 --filter interesting:1.1 pattern lines differ from the pinned checksum" >&2
+    exit 1
+}
+grep -q '^# 105 of 2272 patterns after filter, ' <<<"$d02_interesting_out" || {
+    echo "!! FAIL: D1000 s0.2 --filter interesting:1.1 did not keep 105 of 2272 patterns" >&2
+    exit 1
+}
+grep -qxF '# 137 patterns, 30442 candidates generated' <<<"$d02_tacgm_out" || {
+    echo "!! FAIL: D1000 s0.2 TAcGM pattern or candidate counts differ from the pinned line" >&2
+    exit 1
+}
+[ "$(pattern_cksum "$d02_tacgm_out")" = '1726562392 5773' ] || {
+    echo "!! FAIL: D1000 s0.2 TAcGM pattern lines differ from the pinned checksum" >&2
     exit 1
 }
 

@@ -304,6 +304,9 @@ fn mine(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .filter(|t| (0.0..=1.0).contains(t))
         .ok_or_else(|| err("--support must be a number in [0, 1]"))?;
     let max_edges: Option<usize> = integer(args, "max-edges")?;
+    if max_edges == Some(0) {
+        return Err(err("--max-edges must be at least 1"));
+    }
     let algorithm = args.get("algorithm").unwrap_or("taxogram");
     let shards: usize = integer(args, "shards")?.unwrap_or(0);
     let filter = args.get("filter").map(parse_filter).transpose()?;
@@ -1190,6 +1193,11 @@ mod tests {
             ("--support", &["--support", "--max-edges", "3"][..]),
             ("--support", &["--support", "1.5"]),
             ("--max-edges", &["--support", "0.4", "--max-edges", "x"]),
+            ("--max-edges must be at least 1", &["--support", "0.4", "--max-edges", "0"]),
+            (
+                "--max-edges must be at least 1",
+                &["--support", "0.4", "--max-edges", "0", "--algorithm", "tacgm"],
+            ),
             ("--filter", &["--support", "0.4", "--filter", "open"]),
             ("--time-limit", &["--support", "0.4", "--time-limit", "-2"]),
             ("--shards", &["--support", "0.4", "--algorithm", "tacgm", "--shards", "2"]),
